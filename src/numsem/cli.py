@@ -16,7 +16,7 @@ from typing import Callable
 from .core import NumericalSemigroup, proportionally_modular
 from .doubles import build_double, doubles_bounded, upper_m_sets
 from .errors import SemigroupError
-from .oracle import all_semigroups_up_to, doubles_oracle, extension_oracle
+from .oracle import _doubles_in, all_semigroups_up_to, extension_oracle
 from .tree import ALL_SEMIGROUPS, VarietyTree, depth_predicate, enumerate_tree, export_tree
 from .varieties import arithmetic_extensions, is_arithmetic_extension, monoid_hull, smallest_variety
 
@@ -243,7 +243,7 @@ def _cmd_oracle_check(args) -> tuple[int, str]:
         (s, f)
         for s in small
         for f in range(1, bound + 1)
-        if [t for _, t in doubles_bounded(s, f)] != doubles_oracle(s, f)
+        if [t for _, t in doubles_bounded(s, f)] != _doubles_in(reports[f], s)
     ]
     if not bad:
         lines.append(

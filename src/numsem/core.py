@@ -3,11 +3,16 @@
 A numerical semigroup is a subset of the nonnegative integers that
 contains 0, is closed under addition and misses only finitely many
 positive integers (its *gaps*).  The gap set determines the whole
-object, so that is what an instance stores: a sorted tuple of gaps
-plus a frozenset view for O(1) membership.  Everything else — the
-Frobenius number (largest gap, -1 when there is none), multiplicity
-(least positive member), genus (number of gaps), minimal generating
-system and depth — is derived from it.
+object, so that is what an instance stores, as one ``int`` gap mask:
+bit i is set iff i is a gap.  The Frobenius number (largest gap, -1
+when there is none) is ``mask.bit_length() - 1``, and the operations
+are bit operations on masks: membership is a bit test, intersection is
+OR, inclusion a subset test, the genus a bit count and a quotient by d
+keeps every d-th bit.  Every construction validates additive closure
+with a shift-and-test per small member (:func:`_is_closed`).
+The multiplicity, the minimal generating system (through the Apery set
+of the multiplicity) and the depth are derived from the mask, and
+``gaps`` and ``gap_set`` are views of it.
 
 Instances are immutable and hashable, so they can be shared freely
 between threads or tasks; every operation is a pure function returning
@@ -24,7 +29,8 @@ from typing import Iterable, NamedTuple
 
 from .errors import GcdNotOne, NonPositiveDivisor, NotASemigroup, TooLarge
 
-#: Default ceiling for the conductor accepted by the generator sieve.
+#: Default ceiling for the conductor accepted by the generator sieve, and
+#: for the range ``proportionally_modular`` scans.
 DEFAULT_LIMIT = 10**6
 
 
@@ -37,26 +43,88 @@ class Invariants(NamedTuple):
     embedding_dimension: int
 
 
+def _bits(x: int) -> list[int]:
+    """Positions of the set bits of ``x >= 0``, ascending."""
+    return [i for i, c in enumerate(bin(x)[:1:-1]) if c == "1"]
+
+
+def _every_nth_bit(x: int, d: int) -> int:
+    """Bit k of the result is bit k*d of ``x >= 0``."""
+    return int(bin(x)[:1:-1][::d][::-1], 2)
+
+
+def _mask_of(gaps: Iterable[int]) -> int:
+    """Gap mask of an iterable of positive integers."""
+    cleaned = {int(g) for g in gaps}
+    if not cleaned:
+        return 0
+    if min(cleaned) < 1:
+        raise NotASemigroup("gaps must be positive integers")
+    top = max(cleaned)
+    digits = bytearray(b"0") * (top + 1)
+    for g in cleaned:
+        digits[top - g] = 49  # ord("1"); digit top - g is bit g
+    return int(digits, 2)
+
+
+def _members(mask: int) -> int:
+    """Member mask of the gap mask, up to its largest gap."""
+    return ~mask & ((1 << mask.bit_length()) - 1)
+
+
+def _multiplicity(mask: int) -> int:
+    """Least positive integer that is not a gap."""
+    low = mask | 1
+    return (~low & (low + 1)).bit_length() - 1
+
+
+def _is_closed(mask: int, frobenius: int) -> bool:
+    """True iff the complement of the gap mask is closed under addition.
+
+    A sum a + b of members that is a gap g <= F has a <= F/2 for the
+    smaller term, so shifting the member mask by each member a <= F/2
+    and testing it against the gaps covers every pair.  Fewer shifts
+    do: with m the least nonzero member, once the shift by m passes,
+    a = w + k*m for w in the Apery set of m (members w with w - m not
+    a member) gives g = w + (b + k*m) with b + k*m a member, so the
+    shifts by m and by the Apery elements w <= F/2 cover every pair.
+    Sums above F are members.
+    """
+    members = _members(mask)
+    m = _multiplicity(mask)
+    apery = members & ((1 << (frobenius // 2 + 1)) - 1) & ~(members << m)
+    return not any((members << a) & mask for a in [m, *_bits(apery)[1:]])
+
+
 @total_ordering
 class NumericalSemigroup:
     """A co-finite additive submonoid of the nonnegative integers."""
 
-    __slots__ = ("_gaps", "_gapset", "_frobenius", "_msg")
+    __slots__ = ("_mask", "_frobenius", "_msg")
 
     def __init__(self, gaps: Iterable[int] = ()) -> None:
-        cleaned = sorted({int(g) for g in gaps})
-        if cleaned and cleaned[0] < 1:
+        self._set_mask(_mask_of(gaps))
+
+    def _set_mask(self, mask: int) -> None:
+        # the one validation path of every construction
+        frobenius = mask.bit_length() - 1
+        if mask & 1:
             raise NotASemigroup("gaps must be positive integers")
-        self._gaps: tuple[int, ...] = tuple(cleaned)
-        self._gapset: frozenset[int] = frozenset(cleaned)
-        self._frobenius: int = cleaned[-1] if cleaned else -1
+        if not _is_closed(mask, frobenius):
+            raise NotASemigroup(
+                f"the members of the gap set with Frobenius number {frobenius}"
+                " are not closed under addition"
+            )
+        self._mask = mask
+        self._frobenius = frobenius
         self._msg: tuple[int, ...] | None = None
-        for g in self._gaps:
-            for a in range(1, g // 2 + 1):
-                if a not in self._gapset and g - a not in self._gapset:
-                    raise NotASemigroup(
-                        f"{a} and {g - a} are members but their sum {g} is a gap"
-                    )
+
+    @classmethod
+    def _from_mask(cls, mask: int) -> "NumericalSemigroup":
+        """Build from a gap mask (bit i set iff i is a gap), validating closure."""
+        s = cls.__new__(cls)
+        s._set_mask(mask)
+        return s
 
     # -- constructors -------------------------------------------------
 
@@ -118,21 +186,22 @@ class NumericalSemigroup:
 
     def contains(self, x: int) -> bool:
         """True iff x is a member; negatives are never members."""
-        if x < 0:
-            return False
-        if x > self._frobenius:
-            return True
-        return x not in self._gapset
+        return x >= 0 and not (self._mask >> x) & 1
 
     __contains__ = contains
 
     @property
     def gaps(self) -> tuple[int, ...]:
-        return self._gaps
+        return tuple(_bits(self._mask))
 
     @property
     def gap_set(self) -> frozenset[int]:
-        return self._gapset
+        return frozenset(_bits(self._mask))
+
+    @property
+    def gap_mask(self) -> int:
+        """The gaps as one ``int``: bit i is set iff i is a gap."""
+        return self._mask
 
     @property
     def frobenius(self) -> int:
@@ -145,37 +214,34 @@ class NumericalSemigroup:
 
     @property
     def genus(self) -> int:
-        return len(self._gaps)
+        return self._mask.bit_count()
 
     @property
     def multiplicity(self) -> int:
         """Smallest nonzero member (1 for the full set)."""
-        m = 1
-        for g in self._gaps:
-            if g != m:
-                break
-            m += 1
-        return m
+        return _multiplicity(self._mask)
 
     @property
     def min_generators(self) -> tuple[int, ...]:
         """The unique minimal generating system, computed once and cached.
 
-        Candidates run over the nonzero members up to frobenius +
-        multiplicity: anything larger decomposes as m plus a member.
+        Every member is w + k*m for m the multiplicity and w in the
+        Apery set of m (the least member of each residue class mod m),
+        and a member w + k*m with k >= 1 is m plus a member.  So the
+        minimal generators are m and the nonzero Apery elements that
+        are not another nonzero Apery element plus a nonzero member.
+        All Apery elements lie below F + m, so only those below F can
+        be the first term of such a sum.
         """
         if self._msg is None:
-            if not self._gaps:
-                self._msg = (1,)
-            else:
-                bound = self._frobenius + self.multiplicity
-                members = [x for x in range(1, bound + 1) if self.contains(x)]
-                memberset = set(members)
-                self._msg = tuple(
-                    s
-                    for s in members
-                    if not any(s - a in memberset for a in members if 2 * a <= s)
-                )
+            m = self.multiplicity
+            f = self._frobenius
+            positive = ~self._mask & ((1 << (f + m + 1)) - 1) & ~1
+            apery = positive & ~((positive | 1) << m)  # nonzero Apery elements
+            sums = 0
+            for w in _bits(apery & ((1 << (f + 1)) - 1)):
+                sums |= positive << w
+            self._msg = (m, *_bits(apery & ~sums))
         return self._msg
 
     @property
@@ -185,7 +251,7 @@ class NumericalSemigroup:
     @property
     def small_elements(self) -> tuple[int, ...]:
         """Members up to and including the conductor."""
-        return tuple(x for x in range(self.conductor + 1) if self.contains(x))
+        return tuple(_bits(~self._mask & ((1 << (self.conductor + 1)) - 1)))
 
     def invariants(self) -> Invariants:
         return Invariants(
@@ -202,16 +268,14 @@ class NumericalSemigroup:
         """All x whose d-fold multiple is a member; equals the full set iff d is."""
         if d < 1:
             raise NonPositiveDivisor(f"divisor must be >= 1, got {d}")
-        return NumericalSemigroup(
-            x for x in range(1, self._frobenius + 1) if not self.contains(d * x)
-        )
+        return NumericalSemigroup._from_mask(_every_nth_bit(self._mask, d))
 
     def halve(self) -> "NumericalSemigroup":
         return self.quotient(2)
 
     def intersect(self, other: "NumericalSemigroup") -> "NumericalSemigroup":
         """Set intersection; the gap set is the union of both gap sets."""
-        return NumericalSemigroup(self._gapset | other._gapset)
+        return NumericalSemigroup._from_mask(self._mask | other._mask)
 
     __and__ = intersect
 
@@ -219,25 +283,27 @@ class NumericalSemigroup:
         """Gaps x whose every proper multiple 2x, 3x, ... is a member.
 
         Checking 2x and 3x suffices: every k >= 2 is 2i + 3j with
-        i, j >= 0, so kx is a sum of members.
+        i, j >= 0, so kx is a sum of members.  The x with 2x a gap are
+        the gaps of the quotient by 2, and likewise for 3.
         """
+        mask = self._mask
         return tuple(
-            x for x in self._gaps if self.contains(2 * x) and self.contains(3 * x)
+            _bits(mask & ~_every_nth_bit(mask, 2) & ~_every_nth_bit(mask, 3))
         )
 
     def is_subset_of(self, other: "NumericalSemigroup") -> bool:
         """Inclusion as sets (note: unrelated to the sorting order)."""
-        return other._gapset <= self._gapset
+        return not other._mask & ~self._mask
 
     # -- identity, ordering, rendering --------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NumericalSemigroup):
             return NotImplemented
-        return self._gaps == other._gaps
+        return self._mask == other._mask
 
     def __hash__(self) -> int:
-        return hash(self._gaps)
+        return hash(self._mask)
 
     def __lt__(self, other: "NumericalSemigroup") -> bool:
         # canonical order: lexicographic on the minimal generating system
@@ -247,12 +313,12 @@ class NumericalSemigroup:
         return "<" + ",".join(map(str, self.min_generators)) + ">"
 
     def __repr__(self) -> str:
-        return f"NumericalSemigroup(gaps={list(self._gaps)})"
+        return f"NumericalSemigroup(gaps={list(self.gaps)})"
 
     def to_json_dict(self) -> dict:
         return {
             "generators": list(self.min_generators),
-            "gaps": list(self._gaps),
+            "gaps": list(self.gaps),
             "frobenius": self._frobenius,
             "genus": self.genus,
             "multiplicity": self.multiplicity,
@@ -273,4 +339,7 @@ def proportionally_modular(a: int, b: int, c: int) -> NumericalSemigroup:
     if min(a, b, c) < 1:
         raise ValueError("all three parameters must be >= 1")
     bound = -(-(b - 1) // c)
+    if bound > DEFAULT_LIMIT:
+        raise TooLarge(f"the gaps of pm({a}, {b}, {c}) may reach {bound - 1}, "
+                       f"above the limit {DEFAULT_LIMIT}")
     return NumericalSemigroup(x for x in range(1, bound) if (a * x) % b > c * x)

@@ -12,15 +12,19 @@ bound can be enumerated exactly.  The empty H is vacuously valid and
 is what produces e.g. <3,4> over <2,3>; the listing function
 :func:`upper_m_sets` nevertheless reports nonempty sets only, which is
 the conventional reading of the definition.
+
+Inside the module every set of gaps is an ``int`` mask as in
+:mod:`numsem.core` (bit i set iff i is in the set), and T's gap mask is
+built straight from S's; the public functions take and return
+frozensets.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import NumericalSemigroup
+from .core import NumericalSemigroup, _bits, _mask_of, _members
 from .errors import BadM, InvalidCertificate, NotGapSubset, SemigroupError
 
 
@@ -43,6 +47,39 @@ def _check_modulus(s: NumericalSemigroup, m: int) -> None:
         raise BadM(f"modulus must be an odd member of {s}, got {m}")
 
 
+def _spread(x: int) -> int:
+    """Bit i of ``x >= 0`` moved to bit 2i."""
+    return int("0".join(bin(x)[2:]), 2)
+
+
+def _double_mask(gaps: int, m: int, h: int) -> int:
+    """Gap mask of the double encoded by (m, h) over the gap mask ``gaps``.
+
+    Its even gaps are twice the gaps, its odd gaps the odd numbers
+    below m and 2x + m for the gaps x outside h.
+    """
+    odd_below_m = ((1 << (m - 1)) - 1) // 3 << 1  # bits 1, 3, ..., m - 2
+    return _spread(gaps) | odd_below_m | (_spread(gaps & ~h) << m)
+
+
+def _sums_ok(gaps: int, m: int, left: int, right: int) -> bool:
+    # a + b + m is a member for every a in left and b in right
+    return not any((right << (a + m)) & gaps for a in _bits(left))
+
+
+def _is_upper_mask(gaps: int, m: int, h: int) -> bool:
+    """:func:`is_upper_m_set` on masks, with the modulus and subset checks as conditions."""
+    members = _members(gaps)
+    return bool(
+        m & 1
+        and not (gaps >> m) & 1
+        and not h & ~gaps
+        and not (h << m) & gaps
+        and _sums_ok(gaps, m, h, h)
+        and not any(gaps & (members << x) & ~h for x in _bits(h))
+    )
+
+
 def is_upper_m_set(
     s: NumericalSemigroup, m: int, candidate: Iterable[int]
 ) -> bool:
@@ -56,91 +93,68 @@ def is_upper_m_set(
     h = frozenset(candidate)
     if not h <= s.gap_set:
         raise NotGapSubset(f"{sorted(h - s.gap_set)} are not gaps of {s}")
-    if not all(s.contains(x + m) for x in h):
-        return False
-    if not all(s.contains(a + b + m) for a, b in itertools.combinations_with_replacement(sorted(h), 2)):
-        return False
-    for x in h:
-        if not all(g in h for g in s.gaps if s.contains(g - x)):
-            return False
-    return True
+    return _is_upper_mask(s.gap_mask, m, _mask_of(h))
 
 
-def _forced_closure(s: NumericalSemigroup, seed: int) -> frozenset[int]:
-    # least absorption-closed gap set containing the seed
-    out = {seed}
-    stack = [seed]
-    while stack:
-        x = stack.pop()
-        for g in s.gaps:
-            if g not in out and s.contains(g - x):
-                out.add(g)
-                stack.append(g)
-    return frozenset(out)
+def _principal_closures(gaps: int) -> list[int]:
+    """Distinct absorption closures of the single gaps, as masks.
+
+    The closure of a gap h is the set of gaps g with g - h a member:
+    absorption is transitive (g' - g and g - h members make g' - h
+    one), so one shift of the member mask finds it.  No closure
+    depends on the modulus m.
+    """
+    members = _members(gaps)
+    return list(dict.fromkeys(gaps & (members << h) for h in _bits(gaps)))
+
+
+def _upper_masks(gaps: int, m: int, principals: list[int], base: int = 0) -> set[int]:
+    """All upper m-sets of the gap mask that contain ``base``, as masks.
+
+    ``base`` must be absorption-closed; unless it is an upper m-set
+    itself there are none.  Rather than filtering the power set of the
+    gaps, this walks the lattice of absorption-closed sets up from
+    ``base``: each valid set is ``base`` united with the closures of
+    its single elements, and a violation of the two sum conditions in
+    any subset persists in every superset, so failing unions can be
+    pruned on first sight.
+    """
+    if (base << m) & gaps or not _sums_ok(gaps, m, base, base):
+        return set()
+    valid = [c for c in principals if not (c << m) & gaps and _sums_ok(gaps, m, c, c)]
+    found = {base}
+    queue = [base]
+    while queue:
+        u = queue.pop()
+        for p in valid:
+            new = p & ~u
+            if not new:
+                continue
+            w = u | p
+            if w in found:
+                continue
+            if _sums_ok(gaps, m, new, u):
+                found.add(w)
+                queue.append(w)
+    return found
 
 
 def upper_m_sets(s: NumericalSemigroup, m: int) -> list[frozenset[int]]:
     """All nonempty upper m-sets of ``s``, in canonical order.
 
-    Rather than filtering the power set of the gaps, this walks the
-    lattice of absorption-closed sets: each valid set is a union of the
-    closures of its single elements, and a violation of the two sum
-    conditions in any subset persists in every superset, so failing
-    unions can be pruned on first sight.  Equivalence with the plain
-    power-set filter is covered by the test suite.
+    The sets come from a walk of the lattice of absorption-closed sets
+    (see :func:`_upper_masks`); equivalence with the plain power-set
+    filter is covered by the test suite.
     """
     _check_modulus(s, m)
-
-    def sums_ok(left: Iterable[int], right: Iterable[int]) -> bool:
-        return all(s.contains(a + b + m) for a in left for b in right)
-
-    principals = []
-    seen_principals = set()
-    for g in s.gaps:
-        c = _forced_closure(s, g)
-        if c in seen_principals:
-            continue
-        seen_principals.add(c)
-        if all(s.contains(x + m) for x in c) and sums_ok(c, c):
-            principals.append(c)
-
-    found: set[frozenset[int]] = set(principals)
-    queue = list(principals)
-    while queue:
-        u = queue.pop()
-        for p in principals:
-            if p <= u:
-                continue
-            w = u | p
-            if w in found:
-                continue
-            if sums_ok(u, p - u):
-                found.add(w)
-                queue.append(w)
-    return sorted(found, key=lambda h: tuple(sorted(h)))
+    gaps = s.gap_mask
+    found = _upper_masks(gaps, m, _principal_closures(gaps))
+    found.discard(0)
+    return [frozenset(h) for h in sorted(map(_bits, found))]
 
 
-def build_double(
-    s: NumericalSemigroup, m: int, upper_set: Iterable[int]
-) -> NumericalSemigroup:
-    """The semigroup encoded by (s, m, upper_set); its half-quotient is s."""
-    h = frozenset(upper_set)
-    try:
-        valid = is_upper_m_set(s, m, h)
-    except SemigroupError as exc:
-        raise InvalidCertificate(str(exc)) from exc
-    if not valid:
-        raise InvalidCertificate(
-            f"{sorted(h)} is not an upper {m}-set of {s}"
-        )
-    gens = [2 * a for a in s.min_generators] + [m] + [2 * x + m for x in h]
-    return NumericalSemigroup.from_generators(gens)
-
-
-def frobenius_of_double(
-    s: NumericalSemigroup, m: int, upper_set: Iterable[int]
-) -> int:
-    """Closed-form Frobenius number of the double encoded by (m, upper_set)."""
+def _certificate(s: NumericalSemigroup, m: int, upper_set: Iterable[int]) -> int:
+    """Mask of ``upper_set`` once it is shown an upper m-set of ``s``."""
     h = frozenset(upper_set)
     try:
         valid = is_upper_m_set(s, m, h)
@@ -148,9 +162,26 @@ def frobenius_of_double(
         raise InvalidCertificate(str(exc)) from exc
     if not valid:
         raise InvalidCertificate(f"{sorted(h)} is not an upper {m}-set of {s}")
-    if h == s.gap_set:
+    return _mask_of(h)
+
+
+def build_double(
+    s: NumericalSemigroup, m: int, upper_set: Iterable[int]
+) -> NumericalSemigroup:
+    """The semigroup encoded by (s, m, upper_set); its half-quotient is s."""
+    h = _certificate(s, m, upper_set)
+    return NumericalSemigroup._from_mask(_double_mask(s.gap_mask, m, h))
+
+
+def frobenius_of_double(
+    s: NumericalSemigroup, m: int, upper_set: Iterable[int]
+) -> int:
+    """Closed-form Frobenius number of the double encoded by (m, upper_set)."""
+    h = _certificate(s, m, upper_set)
+    outside = s.gap_mask & ~h
+    if not outside:
         return max(2 * s.frobenius, m - 2)
-    return max(2 * s.frobenius, 2 * max(s.gap_set - h) + m)
+    return max(2 * s.frobenius, 2 * (outside.bit_length() - 1) + m)
 
 
 def doubles_bounded(
@@ -170,28 +201,30 @@ def doubles_bounded(
         raise ValueError(f"bound must be >= 1, got {bound}")
     if 2 * s.frobenius > bound:
         return []
-    gaps = s.gap_set
-    results: list[tuple[DoubleLabel, NumericalSemigroup]] = []
+    gaps = s.gap_mask
+    labels: list[tuple[int, int]] = []
 
-    first = s.frobenius + 1
-    if first % 2 == 0:
-        first += 1
-    for m in range(first, bound + 3, 2):
-        t = build_double(s, m, gaps)
-        if t == s:
-            continue
-        results.append((DoubleLabel(m, gaps), t))
+    first = max((s.frobenius + 1) | 1, 3)  # m = 1 only over the full set, giving itself
+    labels.extend((m, gaps) for m in range(first, bound + 3, 2))
 
+    principals = _principal_closures(gaps)
     for m in range(1, bound - 1, 2):
         if not s.contains(m):
             continue
-        candidates = upper_m_sets(s, m) + [frozenset()]
-        for h in candidates:
-            if h == gaps:
-                continue
-            if 2 * max(gaps - h) + m <= bound:
-                results.append((DoubleLabel(m, h), build_double(s, m, h)))
+        # 2 * max(gaps - h) + m <= bound: h holds every gap from `above` on,
+        # and those gaps are absorption-closed, as a gap absorbs only larger ones
+        above = (bound - m) // 2 + 1
+        for h in _upper_masks(gaps, m, principals, gaps >> above << above):
+            if h != gaps:
+                labels.append((m, h))
 
+    results: list[tuple[DoubleLabel, NumericalSemigroup]] = []
+    for m, h in labels:
+        # each label is checked once more on its own, as build_double does
+        if not _is_upper_mask(gaps, m, h):
+            raise InvalidCertificate(f"{_bits(h)} is not an upper {m}-set of {s}")
+        t = NumericalSemigroup._from_mask(_double_mask(gaps, m, h))
+        results.append((DoubleLabel(m, frozenset(_bits(h))), t))
     results.sort(key=lambda pair: pair[1].min_generators)
     return results
 

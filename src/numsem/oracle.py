@@ -60,11 +60,7 @@ def all_semigroups_up_to(bound: int) -> EnumerationReport:
                 closed = False
                 break
         if closed:
-            found.append(
-                NumericalSemigroup(
-                    i for i in range(1, bound + 1) if (gap_bits >> i) & 1
-                )
-            )
+            found.append(NumericalSemigroup._from_mask(gap_bits))
     found.sort()
     counts = Counter(s.frobenius for s in found)
     return EnumerationReport(
@@ -76,7 +72,13 @@ def doubles_oracle(
     s: NumericalSemigroup, bound: int
 ) -> list[NumericalSemigroup]:
     """Reference doubles: filter the exhaustive list by half-quotient."""
-    report = all_semigroups_up_to(bound)
+    return _doubles_in(all_semigroups_up_to(bound), s)
+
+
+def _doubles_in(
+    report: EnumerationReport, s: NumericalSemigroup
+) -> list[NumericalSemigroup]:
+    """The semigroups of ``report`` other than ``s`` whose half is ``s``."""
     return [t for t in report.semigroups if halve(t) == s and t != s]
 
 

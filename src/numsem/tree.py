@@ -59,12 +59,21 @@ class VarietyTree:
     nodes: tuple[NumericalSemigroup, ...]
     edges: tuple[tuple[NumericalSemigroup, NumericalSemigroup], ...]
 
+    def __post_init__(self) -> None:
+        # children by parent, in edge order, so children_of is one lookup
+        children: dict[NumericalSemigroup, list[NumericalSemigroup]] = {}
+        for p, c in self.edges:
+            children.setdefault(p, []).append(c)
+        object.__setattr__(
+            self, "_children", {p: tuple(cs) for p, cs in children.items()}
+        )
+
     @property
     def root(self) -> NumericalSemigroup:
         return NATURALS
 
     def children_of(self, s: NumericalSemigroup) -> tuple[NumericalSemigroup, ...]:
-        return tuple(c for p, c in self.edges if p == s)
+        return self._children.get(s, ())
 
     def to_json_dict(self) -> dict:
         index = {s: i for i, s in enumerate(self.nodes)}
@@ -89,8 +98,10 @@ def enumerate_tree(
     Starting from the full set, each frontier node is expanded into its
     accepted bounded doubles until nothing new appears.  Completeness
     needs the predicate to be quotient-closed (each node's halving
-    chain must stay accepted); that assumption is re-checked on the
-    result and a violation raises :class:`PredicateNotClosed`.
+    chain must stay accepted).  That is re-checked on the result: the
+    half-quotient of each node must be the accepted node it was found
+    under, and by induction so is every ancestor's.  A violation raises
+    :class:`PredicateNotClosed`.
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
@@ -102,7 +113,7 @@ def enumerate_tree(
     edges: list[tuple[NumericalSemigroup, NumericalSemigroup]] = []
     while frontier:
         nxt = []
-        for s in sorted(frontier):
+        for s in frontier:  # a node has one parent, its half: no order changes an edge
             for t in children(s, bound, predicate):
                 if t in seen:
                     continue
@@ -110,19 +121,13 @@ def enumerate_tree(
                 edges.append((s, t))
                 nxt.append(t)
         frontier = nxt
-    for t in seen:
-        walk = t
-        while walk != root:
-            parent = walk.halve()
-            if parent not in seen or not predicate.accepts(parent):
-                raise PredicateNotClosed(
-                    f"halving chain of {t} leaves the family at {parent}"
-                )
-            walk = parent
+    for p, t in edges:
+        if t.halve() != p:
+            raise PredicateNotClosed(f"{t} was found under {p}, not under its half")
     return VarietyTree(
         bound=bound,
         predicate_name=predicate.name,
-        nodes=tuple(sorted(seen)),
+        nodes=tuple(sorted(seen, key=lambda s: s.min_generators)),
         edges=tuple(sorted(edges, key=lambda e: (e[0].min_generators, e[1].min_generators))),
     )
 

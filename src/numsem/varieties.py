@@ -62,16 +62,9 @@ class ExtremalElements(NamedTuple):
     minimum_proper: NumericalSemigroup
 
 
-def arithmetic_extensions(s: NumericalSemigroup) -> VarietySet:
-    """The smallest arithmetic variety containing ``s``.
-
-    Quotients by members are the full set, so the generating quotients
-    are exactly those by gaps; closing that seed (plus the full set)
-    under pairwise intersection reaches every finite intersection of
-    quotients, which is the whole family.
-    """
-    members: set[NumericalSemigroup] = {NATURALS}
-    members.update(s.quotient(d) for d in s.gaps)
+def _intersection_closure(seed: Iterable[NumericalSemigroup]) -> set[NumericalSemigroup]:
+    """Every finite intersection of members of ``seed``."""
+    members = set(seed)
     work = list(members)
     while work:
         a = work.pop()
@@ -80,7 +73,20 @@ def arithmetic_extensions(s: NumericalSemigroup) -> VarietySet:
             if c not in members:
                 members.add(c)
                 work.append(c)
-    return VarietySet.of(members)
+    return members
+
+
+def arithmetic_extensions(s: NumericalSemigroup) -> VarietySet:
+    """The smallest arithmetic variety containing ``s``.
+
+    Quotients by members are the full set, so the generating quotients
+    are exactly those by gaps; closing that seed (plus the full set)
+    under pairwise intersection reaches every finite intersection of
+    quotients, which is the whole family.
+    """
+    return VarietySet.of(
+        _intersection_closure([NATURALS, *(s.quotient(d) for d in s.gaps)])
+    )
 
 
 def is_arithmetic_extension(s: NumericalSemigroup, t: NumericalSemigroup) -> bool:
@@ -108,17 +114,15 @@ def is_arithmetic_extension(s: NumericalSemigroup, t: NumericalSemigroup) -> boo
 def smallest_variety(family: Sequence[NumericalSemigroup]) -> VarietySet:
     """Smallest arithmetic variety containing every member of ``family``.
 
-    Streams the cartesian product of the per-member extension sets,
-    folding each tuple into a single intersection, without ever
-    materializing the full product.
+    The union of the per-member extension sets is closed under
+    quotients, and quotients distribute over intersections, so its
+    intersection closure is closed under both: it is the variety.
     """
     if not family:
         raise ValueError("family must be nonempty")
-    extension_sets = [arithmetic_extensions(s).members for s in family]
-    members: set[NumericalSemigroup] = {NATURALS}
-    for combo in itertools.product(*extension_sets):
-        members.add(reduce(NumericalSemigroup.intersect, combo))
-    return VarietySet.of(members)
+    return VarietySet.of(
+        _intersection_closure(t for s in family for t in arithmetic_extensions(s))
+    )
 
 
 def _max_by_inclusion(items: Sequence[NumericalSemigroup]) -> NumericalSemigroup:

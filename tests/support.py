@@ -2,15 +2,19 @@
 
 Everything here recomputes values by a route different from the
 implementation under test: plain reachability instead of the sieve,
-power-set filtering instead of closure-lattice walking.
+power-set filtering instead of closure-lattice walking, pairwise sums
+instead of bit shifts, the generator sieve instead of the double's gap
+mask, and the product of extension sets instead of their intersection
+closure.
 """
 
 import itertools
 import math
+from functools import reduce
 
 from hypothesis import strategies as st
 
-from numsem import NumericalSemigroup
+from numsem import NATURALS, NumericalSemigroup, arithmetic_extensions
 
 
 def closure_members(gens, bound):
@@ -57,6 +61,38 @@ def naive_upper_sets(s, m, include_empty=False):
             if shifts_ok and sums_ok and absorbed:
                 out.append(frozenset(h))
     return sorted(out, key=lambda h: tuple(sorted(h)))
+
+
+def naive_is_closed(gaps):
+    """Is the complement of ``gaps`` (positive integers) closed under addition?"""
+    top = max(gaps, default=0)
+    members = [x for x in range(top + 1) if x not in gaps]
+    return all(a + b not in gaps for a in members for b in members)
+
+
+def naive_min_generators(s):
+    """Nonzero members up to F + m that are no sum of two nonzero members."""
+    top = max(s.frobenius + s.multiplicity, 1)  # 1 generates the full set
+    members = [x for x in range(1, top + 1) if s.contains(x)]
+    memberset = set(members)
+    return tuple(
+        x for x in members if not any(x - a in memberset for a in members if 2 * a <= x)
+    )
+
+
+def double_by_generators(s, m, upper_set):
+    """The double encoded by (m, H), sieved from 2*msg(S), m and 2H + m."""
+    gens = [2 * a for a in s.min_generators] + [m] + [2 * x + m for x in upper_set]
+    return NumericalSemigroup.from_generators(gens)
+
+
+def product_variety(family):
+    """Smallest variety by folding every tuple of the extension sets' product."""
+    extension_sets = [arithmetic_extensions(s).members for s in family]
+    members = {NATURALS}
+    for combo in itertools.product(*extension_sets):
+        members.add(reduce(NumericalSemigroup.intersect, combo))
+    return tuple(sorted(members))
 
 
 def random_semigroup(rng, max_gen=20, max_count=4):

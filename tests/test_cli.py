@@ -1,4 +1,5 @@
 import json
+import time
 
 from numsem.cli import main
 
@@ -143,3 +144,19 @@ class TestExitCodes:
         code, out, _ = run(capsys, "oracle-check", "--frobenius-bound", "12")
         assert code == 0
         assert out.endswith("oracle-check: PASS\n")
+
+
+class TestWorkLimits:
+    def test_pm_beyond_the_limit_fails_fast(self, capsys):
+        start = time.monotonic()
+        code, out, err = run(capsys, "pm", "1", "1000000000", "1")
+        assert (code, out) == (1, "")
+        assert "TooLarge" in err
+        assert time.monotonic() - start < 10
+
+    def test_large_conductor_info(self, capsys):
+        start = time.monotonic()
+        code, out, _ = run(capsys, "info", "300,301")
+        assert code == 0
+        assert out.startswith("<300,301> F=89699 m=300 g=44850 e=2 depth=299 gaps=1,2,3,")
+        assert time.monotonic() - start < 10

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from numsem import (
+    DEFAULT_LIMIT,
     NATURALS,
     GcdNotOne,
     Invariants,
@@ -12,7 +13,8 @@ from numsem import (
     TooLarge,
     proportionally_modular,
 )
-from support import naive_gap_set, semigroups
+from numsem.core import _is_closed
+from support import naive_gap_set, naive_is_closed, naive_min_generators, semigroups
 
 NS = NumericalSemigroup
 
@@ -172,6 +174,14 @@ class TestProportionallyModular:
         for x in range(60):
             assert s.contains(x) == ((5 * x) % 13 <= 2 * x)
 
+    def test_scan_bounded_by_default_limit(self):
+        # the scan runs up to ceil((b-1)/c), which may equal the limit
+        assert proportionally_modular(1, DEFAULT_LIMIT + 1, 1) == NATURALS
+        with pytest.raises(TooLarge):
+            proportionally_modular(1, DEFAULT_LIMIT + 2, 1)
+        with pytest.raises(TooLarge):
+            proportionally_modular(1, 10**9, 1)
+
 
 class TestOrderingAndRendering:
     def test_equal(self):
@@ -265,3 +275,27 @@ def test_closure_on_small_elements(s):
         for b in members:
             if a and b and a + b <= s.conductor:
                 assert s.contains(a + b)
+
+
+# -- bit-mask routines against their definitions -----------------------
+
+
+def _gap_masks():
+    """Arbitrary gap masks, the masks of semigroups and near misses of them."""
+    semigroup_masks = semigroups().map(lambda s: s.gap_mask)
+    return st.one_of(
+        st.integers(0, 2**16).map(lambda bits: bits << 1),
+        semigroup_masks,
+        st.tuples(semigroup_masks, st.integers(1, 40)).map(lambda p: p[0] ^ (1 << p[1])),
+    )
+
+
+@given(_gap_masks())
+def test_is_closed_matches_pairwise_sums(mask):
+    gaps = {i for i in range(mask.bit_length()) if (mask >> i) & 1}
+    assert _is_closed(mask, mask.bit_length() - 1) == naive_is_closed(gaps)
+
+
+@given(semigroups(max_gen=30, max_count=5))
+def test_min_generators_match_pairwise_definition(s):
+    assert s.min_generators == naive_min_generators(s)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from numsem import (
     NATURALS,
@@ -16,7 +18,7 @@ from numsem import (
     upper_m_sets,
     all_semigroups_up_to,
 )
-from support import naive_upper_sets
+from support import double_by_generators, naive_upper_sets, semigroups
 
 NS = NumericalSemigroup
 
@@ -232,3 +234,14 @@ class TestDoubleLabel:
         label = DoubleLabel(5, frozenset({3, 6, 7}))
         assert label.to_json_dict() == {"m": 5, "H": [3, 6, 7]}
         assert str(label) == "S(5; 3,6,7)"
+
+
+@settings(max_examples=100)
+@given(semigroups(max_gen=9), st.data())
+def test_double_mask_matches_generator_route(s, data):
+    """The double's gap mask equals the sieve of 2*msg(S), m and 2H + m."""
+    m = data.draw(
+        st.sampled_from([m for m in range(1, 2 * s.frobenius + 4, 2) if s.contains(m)])
+    )
+    h = data.draw(st.sampled_from(upper_m_sets(s, m) + [frozenset()]))
+    assert build_double(s, m, h) == double_by_generators(s, m, h)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from numsem import (
@@ -12,6 +14,8 @@ from numsem import (
     monoid_hull,
     smallest_variety,
 )
+
+from support import product_variety, random_semigroup
 
 NS = NumericalSemigroup
 
@@ -89,6 +93,13 @@ class TestSmallestVariety:
     def test_idempotent(self):
         first = smallest_variety(family([2, 5], [3, 5, 7]))
         assert smallest_variety(list(first.members)).members == first.members
+
+    def test_matches_product_fold(self):
+        """The intersection closure equals folding the extension sets' product."""
+        rng = random.Random(20231)
+        for _ in range(40):
+            fam = [random_semigroup(rng, max_gen=9, max_count=3) for _ in range(rng.randint(1, 3))]
+            assert smallest_variety(fam).members == product_variety(fam), [str(s) for s in fam]
 
     def test_monotone_in_the_family(self):
         small = set(smallest_variety(family([2, 5])).members)
