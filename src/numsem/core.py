@@ -156,7 +156,7 @@ class NumericalSemigroup:
         if gens[0] == 1:
             return cls()
         m = gens[0]
-        table = bytearray(2 * gens[-1] + 2)
+        table = bytearray(min(2 * gens[-1], limit) + 2)  # x > limit raises before use
         table[0] = 1
         run, x = 0, 1
         while run < m:

@@ -11,11 +11,10 @@ oracle can drive the same walker.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import NATURALS, NumericalSemigroup
+from .core import NATURALS, NumericalSemigroup, _every_nth_bit
 from .doubles import doubles_bounded
 from .errors import PredicateNotClosed, UnknownFormat
 
@@ -42,12 +41,8 @@ def depth_predicate(q: int) -> VarietyPredicate:
 def children(
     s: NumericalSemigroup, bound: int, predicate: VarietyPredicate
 ) -> list[NumericalSemigroup]:
-    """Accepted bounded doubles of ``s``, excluding the node itself and the root."""
-    return [
-        t
-        for _, t in doubles_bounded(s, bound)
-        if predicate.accepts(t) and t != s and t != NATURALS
-    ]
+    """Accepted bounded doubles of ``s``; neither ``s`` nor the root is a double."""
+    return [t for _, t in doubles_bounded(s, bound) if predicate.accepts(t)]
 
 
 @dataclass(frozen=True)
@@ -122,7 +117,7 @@ def enumerate_tree(
                 nxt.append(t)
         frontier = nxt
     for p, t in edges:
-        if t.halve() != p:
+        if _every_nth_bit(t.gap_mask, 2) != p.gap_mask:  # the gap mask of t.halve()
             raise PredicateNotClosed(f"{t} was found under {p}, not under its half")
     return VarietyTree(
         bound=bound,
@@ -132,10 +127,43 @@ def enumerate_tree(
     )
 
 
+def _json_array(items: list[str], pad: str) -> str:
+    """Rendered items as a JSON array laid out like ``json.dumps(..., indent=2)`` at ``pad``."""
+    if not items:
+        return "[]"
+    inner = pad + "  "
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+
+
+def _json_node(s: NumericalSemigroup) -> str:
+    """``NumericalSemigroup.to_json_dict`` as laid out inside the tree's node list."""
+    p = "      "
+    return (
+        f'{{\n{p}"generators": {_json_array(list(map(str, s.min_generators)), p)},'
+        f'\n{p}"gaps": {_json_array(list(map(str, s.gaps)), p)},'
+        f'\n{p}"frobenius": {s.frobenius},\n{p}"genus": {s.genus},'
+        f'\n{p}"multiplicity": {s.multiplicity},\n{p}"depth": {s.depth()}\n    }}'
+    )
+
+
+def _tree_json(tree: VarietyTree) -> str:
+    """``json.dumps(tree.to_json_dict(), indent=2) + "\\n"``, written directly.
+
+    The pure-Python encoder that ``indent`` selects costs more than the
+    walk itself; the layout is fixed, so it is written here instead.
+    """
+    index = {s: i for i, s in enumerate(tree.nodes)}
+    nodes = _json_array([_json_node(s) for s in tree.nodes], "  ")
+    edges = _json_array(
+        [f"[\n      {index[p]},\n      {index[c]}\n    ]" for p, c in tree.edges], "  "
+    )
+    return f'{{\n  "nodes": {nodes},\n  "edges": {edges}\n}}\n'
+
+
 def export_tree(tree: VarietyTree, format: str) -> str:
     """Render as a Graphviz digraph ("dot") or adjacency lists ("json")."""
     if format == "dot":
         return tree.to_dot()
     if format == "json":
-        return json.dumps(tree.to_json_dict(), indent=2) + "\n"
+        return _tree_json(tree)
     raise UnknownFormat(f"unsupported tree format {format!r}")

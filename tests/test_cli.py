@@ -1,6 +1,7 @@
 import json
 import time
 
+from numsem import enumerate_tree
 from numsem.cli import main
 
 VARIETY_GOLDEN = "<1>\n<2,3>\n<2,5>\n<3,4,5>\n<3,5,7>\n<4,5,6,7>\n<5,6,7,8,9>\n"
@@ -96,6 +97,11 @@ class TestGoldenOutputs:
         data = json.loads(out)
         assert [m["generators"] for m in data["members"]] == [[1], [2, 3], [2, 5]]
 
+    def test_tree_json_bytes(self, capsys):
+        code, out, _ = run(capsys, "tree", "--frobenius-bound", "12", "--format", "json")
+        assert code == 0
+        assert out == json.dumps(enumerate_tree(12).to_json_dict(), indent=2) + "\n"
+
 
 class TestDeterminismAndOutput:
     def test_repeat_runs_identical(self, capsys):
@@ -153,6 +159,15 @@ class TestWorkLimits:
         assert (code, out) == (1, "")
         assert "TooLarge" in err
         assert time.monotonic() - start < 10
+
+    def test_huge_generator_fails_fast(self, capsys):
+        for gens in ("2,10000000000001", "2,100000001"):
+            start = time.monotonic()
+            code, out, err = run(capsys, "info", gens)
+            assert (code, out) == (1, "")
+            assert err.startswith("error: TooLarge: ")
+            assert "Traceback" not in err
+            assert time.monotonic() - start < 10
 
     def test_large_conductor_info(self, capsys):
         start = time.monotonic()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -60,6 +62,18 @@ class TestFromGenerators:
     def test_size_guard(self):
         with pytest.raises(TooLarge):
             NS.from_generators([1009, 1013], limit=1000)
+
+    def test_size_guard_allocates_by_the_limit(self):
+        # the sieve table is sized by the limit, not by the largest generator
+        tracemalloc.start()
+        try:
+            for gens in ([2, 10**13 + 1], [2, 10**8 + 1]):
+                with pytest.raises(TooLarge):
+                    NS.from_generators(gens, limit=10**4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
 
 
 class TestFromGaps:

@@ -207,6 +207,11 @@ class TestDoublesBounded:
         got = [t for _, t in doubles_bounded(S4511, 15)]
         assert got == sorted(got)
 
+    def test_never_the_semigroup_itself_or_the_root(self):
+        for s in all_semigroups_up_to(12).semigroups:
+            for b in range(1, 25):
+                assert all(t != s and t != NATURALS for _, t in doubles_bounded(s, b))
+
     def test_bad_bound(self):
         with pytest.raises(ValueError):
             doubles_bounded(S4511, 0)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import numsem.tree as tree_module
 from numsem import (
     ALL_SEMIGROUPS,
     NATURALS,
@@ -135,6 +136,19 @@ class TestEnumerate:
         with pytest.raises(PredicateNotClosed):
             enumerate_tree(5, VarietyPredicate("no-root", lambda s: s != NATURALS))
 
+    def test_edge_check_fires(self, monkeypatch):
+        # a child attached to a node that is not its half is refused
+        real = tree_module.doubles_bounded
+        stray = NS.from_generators([3, 4, 5])  # its half is <2,3>
+
+        def with_stray(s, bound):
+            found = real(s, bound)
+            return found + [(None, stray)] if s == NATURALS else found
+
+        monkeypatch.setattr(tree_module, "doubles_bounded", with_stray)
+        with pytest.raises(PredicateNotClosed):
+            enumerate_tree(5)
+
     def test_bad_bound(self):
         with pytest.raises(ValueError):
             enumerate_tree(0)
@@ -166,6 +180,13 @@ class TestExport:
             parent = NS.from_generators(data["nodes"][pi]["generators"])
             child = NS.from_generators(data["nodes"][ci]["generators"])
             assert halve(child) == parent
+
+    def test_json_bytes_match_json_dumps(self):
+        for bound in range(1, 15):
+            for pred in (ALL_SEMIGROUPS, *map(depth_predicate, range(4))):
+                tree = enumerate_tree(bound, pred)
+                expected = json.dumps(tree.to_json_dict(), indent=2) + "\n"
+                assert export_tree(tree, "json") == expected
 
     def test_unknown_format(self):
         with pytest.raises(UnknownFormat):
