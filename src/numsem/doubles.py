@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import NumericalSemigroup, _bits, _mask_of, _members
-from .errors import BadM, InvalidCertificate, NotGapSubset, SemigroupError
+from .core import DEFAULT_LIMIT, NumericalSemigroup, _bits, _mask_of, _members
+from .errors import BadM, InvalidCertificate, NotGapSubset, TooLarge
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,8 @@ class DoubleLabel:
 def _check_modulus(s: NumericalSemigroup, m: int) -> None:
     if m % 2 == 0 or not s.contains(m):
         raise BadM(f"modulus must be an odd member of {s}, got {m}")
+    if m > DEFAULT_LIMIT:  # the odd numbers below m are gaps of every double
+        raise TooLarge(f"modulus {m} exceeds the limit {DEFAULT_LIMIT}")
 
 
 def _spread(x: int) -> int:
@@ -158,7 +160,7 @@ def _certificate(s: NumericalSemigroup, m: int, upper_set: Iterable[int]) -> int
     h = frozenset(upper_set)
     try:
         valid = is_upper_m_set(s, m, h)
-    except SemigroupError as exc:
+    except (BadM, NotGapSubset) as exc:  # TooLarge passes: the label may be valid
         raise InvalidCertificate(str(exc)) from exc
     if not valid:
         raise InvalidCertificate(f"{sorted(h)} is not an upper {m}-set of {s}")

@@ -5,18 +5,20 @@ most F has its gap set inside {1..F}, so walking all 2^F subsets and
 keeping those whose complement is additively closed is exhaustive.
 The closure test runs on bitmasks (bit i set = i is a member): the
 complement is closed iff no shift of the member mask by a member hits
-a gap bit.  A hard cap keeps the exponential walk at desk scale.
+a gap bit.  A hard cap keeps the exponential walk at desk scale.  A
+check over bounds 1..N walks once, at N, and filters that report by F
+(:meth:`EnumerationReport.up_to`).  A report indexes its semigroups
+once by their half's gap mask: the doubles of S are one lookup.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property
 from itertools import combinations
 
-from .core import NATURALS, NumericalSemigroup
-from .doubles import halve
+from .core import NATURALS, NumericalSemigroup, _every_nth_bit
 from .errors import BoundTooLarge, NotASemigroup
 from .varieties import VarietySet
 
@@ -42,6 +44,23 @@ class EnumerationReport:
             "semigroups": [list(s.min_generators) for s in self.semigroups],
         }
 
+    def up_to(self, bound: int) -> "EnumerationReport":
+        """The report for a smaller bound: the semigroups with F <= bound, in order."""
+        if bound > self.bound:
+            raise ValueError(f"bound {bound} exceeds the report's bound {self.bound}")
+        return _report(bound, [s for s in self.semigroups if s.frobenius <= bound])
+
+    @cached_property
+    def _by_half(self) -> dict[int, list[NumericalSemigroup]]:
+        index: dict[int, list[NumericalSemigroup]] = {}
+        for t in self.semigroups:
+            index.setdefault(_every_nth_bit(t.gap_mask, 2), []).append(t)
+        return index
+
+
+def _report(bound: int, found: list[NumericalSemigroup]) -> EnumerationReport:
+    return EnumerationReport(bound, tuple(found), dict(Counter(s.frobenius for s in found)))
+
 
 def all_semigroups_up_to(bound: int) -> EnumerationReport:
     """Every numerical semigroup with Frobenius number <= bound."""
@@ -61,11 +80,7 @@ def all_semigroups_up_to(bound: int) -> EnumerationReport:
                 break
         if closed:
             found.append(NumericalSemigroup._from_mask(gap_bits))
-    found.sort()
-    counts = Counter(s.frobenius for s in found)
-    return EnumerationReport(
-        bound=bound, semigroups=tuple(found), counts_by_frobenius=dict(counts)
-    )
+    return _report(bound, sorted(found))
 
 
 def doubles_oracle(
@@ -79,7 +94,7 @@ def _doubles_in(
     report: EnumerationReport, s: NumericalSemigroup
 ) -> list[NumericalSemigroup]:
     """The semigroups of ``report`` other than ``s`` whose half is ``s``."""
-    return [t for t in report.semigroups if halve(t) == s and t != s]
+    return [t for t in report._by_half.get(s.gap_mask, ()) if t != s]
 
 
 def extension_oracle(s: NumericalSemigroup) -> VarietySet:
@@ -87,26 +102,20 @@ def extension_oracle(s: NumericalSemigroup) -> VarietySet:
 
     Walks every supersemigroup of ``s`` (gap subsets) and keeps T when
     intersecting the quotients of s by all d with d*T inside s gives
-    back exactly T.
+    back exactly T, met as the OR of quotient gap masks built once per s.
     """
     out = []
-    dmax = max(s.frobenius + 1, 1)
+    quotients = [_every_nth_bit(s.gap_mask, d) for d in range(1, max(s.frobenius, 0) + 2)]
     for r in range(len(s.gaps) + 1):
         for combo in combinations(s.gaps, r):
             try:
                 t = NumericalSemigroup(combo)
             except NotASemigroup:
                 continue
-            divisors = [
-                d
-                for d in range(1, dmax + 1)
-                if all(s.contains(d * g) for g in t.min_generators)
-            ]
-            meet = reduce(
-                NumericalSemigroup.intersect,
-                (s.quotient(d) for d in divisors),
-                NATURALS,
-            )
-            if meet == t:
+            meet = 0
+            for d, q in enumerate(quotients, 1):
+                if all(s.contains(d * g) for g in t.min_generators):
+                    meet |= q
+            if meet == t.gap_mask:
                 out.append(t)
     return VarietySet.of(out)

@@ -63,17 +63,20 @@ class ExtremalElements(NamedTuple):
 
 
 def _intersection_closure(seed: Iterable[NumericalSemigroup]) -> set[NumericalSemigroup]:
-    """Every finite intersection of members of ``seed``."""
-    members = set(seed)
+    """Every finite intersection of members of ``seed``.
+
+    Pairs are met on gap masks (an intersection's is the OR of both), so
+    a semigroup is built and validated only for a mask not seen before.
+    """
+    members = {s.gap_mask: s for s in seed}
     work = list(members)
     while work:
         a = work.pop()
         for b in list(members):
-            c = a.intersect(b)
-            if c not in members:
-                members.add(c)
+            if (c := a | b) not in members:
+                members[c] = NumericalSemigroup._from_mask(c)
                 work.append(c)
-    return members
+    return set(members.values())
 
 
 def arithmetic_extensions(s: NumericalSemigroup) -> VarietySet:

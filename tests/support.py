@@ -4,8 +4,8 @@ Everything here recomputes values by a route different from the
 implementation under test: plain reachability instead of the sieve,
 power-set filtering instead of closure-lattice walking, pairwise sums
 instead of bit shifts, the generator sieve instead of the double's gap
-mask, and the product of extension sets instead of their intersection
-closure.
+mask, the product of extension sets instead of their intersection
+closure, and the classical removal tree instead of the tree of doubles.
 """
 
 import itertools
@@ -93,6 +93,27 @@ def product_variety(family):
     for combo in itertools.product(*extension_sets):
         members.add(reduce(NumericalSemigroup.intersect, combo))
     return tuple(sorted(members))
+
+
+def removal_tree(bound):
+    """Gap masks of every semigroup with Frobenius number <= ``bound``.
+
+    The classical tree (Rosales and Garcia-Sanchez, Numerical Semigroups,
+    Springer 2009): the children of S are S minus x for the minimal
+    generators x of S with F(S) < x <= bound.  Every semigroup but the
+    full set is reached once, from itself with its Frobenius number put
+    back.  A member x > F(S) is a minimal generator iff no two nonzero
+    members sum to it.  Bit i of a mask is set iff i is a gap.
+    """
+    found = [0]
+    for gaps in found:  # grows while it is walked
+        for x in range(max(gaps.bit_length(), 1), bound + 1):
+            if not any(
+                not (gaps >> a) & 1 and not (gaps >> (x - a)) & 1
+                for a in range(1, x // 2 + 1)
+            ):
+                found.append(gaps | 1 << x)
+    return found
 
 
 def random_semigroup(rng, max_gen=20, max_count=4):

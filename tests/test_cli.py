@@ -169,6 +169,16 @@ class TestWorkLimits:
             assert "Traceback" not in err
             assert time.monotonic() - start < 10
 
+    def test_huge_modulus_fails_fast(self, capsys):
+        for verb, gens in (("double", "2,5"), ("upper-sets", "4,5,11")):
+            for m in ("10000000000001", "100000001"):
+                start = time.monotonic()
+                code, out, err = run(capsys, verb, gens, "--modulus", m)
+                assert (code, out) == (1, "")
+                assert err.startswith("error: TooLarge: ")
+                assert "Traceback" not in err
+                assert time.monotonic() - start < 10
+
     def test_large_conductor_info(self, capsys):
         start = time.monotonic()
         code, out, _ = run(capsys, "info", "300,301")

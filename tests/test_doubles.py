@@ -3,12 +3,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from numsem import (
+    DEFAULT_LIMIT,
     NATURALS,
     BadM,
     DoubleLabel,
     InvalidCertificate,
     NotGapSubset,
     NumericalSemigroup,
+    TooLarge,
     build_double,
     doubles_bounded,
     doubles_oracle,
@@ -165,6 +167,30 @@ class TestFrobeniusOfDouble:
     def test_formula_matches_construction_everywhere(self):
         for (m, h), gens in WORKED_DOUBLES.items():
             assert frobenius_of_double(S4511, m, h) == build_double(S4511, m, h).frobenius
+
+
+class TestModulusLimit:
+    def test_modulus_above_the_limit(self):
+        s = NS.from_generators([2, 5])
+        for m in (DEFAULT_LIMIT + 1, 100000001, 10000000000001):
+            with pytest.raises(TooLarge):
+                build_double(s, m, ())
+            with pytest.raises(TooLarge):
+                frobenius_of_double(s, m, {1, 3})
+            with pytest.raises(TooLarge):
+                is_upper_m_set(s, m, ())
+            with pytest.raises(TooLarge):
+                upper_m_sets(s, m)
+
+    def test_largest_modulus_accepted(self):
+        s = NS.from_generators([2, 5])
+        m = DEFAULT_LIMIT - 1  # the limit is even
+        assert frobenius_of_double(s, m, ()) == m + 6
+        assert upper_m_sets(s, m) == [frozenset({1, 3}), frozenset({3})]
+
+    def test_bad_modulus_is_still_bad_m(self):
+        with pytest.raises(BadM):
+            upper_m_sets(NS.from_generators([2, 5]), DEFAULT_LIMIT + 2)
 
 
 class TestDoublesBounded:

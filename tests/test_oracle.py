@@ -23,7 +23,9 @@ from numsem import (
     extension_oracle,
     halve,
 )
+import numsem.cli as cli_module
 from numsem.cli import main
+from numsem.oracle import _doubles_in
 
 NS = NumericalSemigroup
 FIXTURE = Path(__file__).parent / "fixtures" / "enumeration_f12.json"
@@ -93,6 +95,36 @@ class TestDoublesOracle:
         s = NS.from_generators([3, 4, 5])
         for t in doubles_oracle(s, 10):
             assert halve(t) == s
+
+
+class TestOneWalkAndHalfIndex:
+    def test_doubles_in_matches_its_definition(self):
+        small = all_semigroups_up_to(6).semigroups
+        for bound in range(1, 13):
+            report = all_semigroups_up_to(bound)
+            for s in small:
+                want = [t for t in report.semigroups if t.halve() == s and t != s]
+                assert _doubles_in(report, s) == want, (str(s), bound)
+
+    def test_smaller_bounds_filter_one_walk(self):
+        top = all_semigroups_up_to(12)
+        for f in range(1, 13):
+            assert top.up_to(f).semigroups == all_semigroups_up_to(f).semigroups
+            assert top.up_to(f) == all_semigroups_up_to(f)
+        with pytest.raises(ValueError):
+            top.up_to(13)
+
+    def test_oracle_check_walks_once(self, monkeypatch, capsys):
+        bounds = []
+
+        def counting(bound):
+            bounds.append(bound)
+            return all_semigroups_up_to(bound)
+
+        monkeypatch.setattr(cli_module, "all_semigroups_up_to", counting)
+        assert main(["oracle-check", "--frobenius-bound", "9"]) == 0
+        assert capsys.readouterr().out.endswith("oracle-check: PASS\n")
+        assert bounds == [9]
 
 
 class TestExtensionOracle:

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -19,7 +20,7 @@ from numsem import (
     export_tree,
     halve,
 )
-from support import random_semigroup
+from support import random_semigroup, removal_tree
 
 NS = NumericalSemigroup
 
@@ -122,6 +123,17 @@ class TestEnumerate:
             assert prev <= cur <= n_all
             prev = cur
         assert set(enumerate_tree(6).nodes) <= set(enumerate_tree(7).nodes)
+
+    def test_matches_removal_tree(self):
+        """The tree of doubles and the classical removal tree find the same semigroups."""
+        for bound in range(1, 23):
+            nodes = enumerate_tree(bound).nodes
+            removal = removal_tree(bound)
+            assert len(set(removal)) == len(removal) == len(nodes), bound
+            assert {s.gap_mask for s in nodes} == set(removal), bound
+            assert Counter(s.frobenius for s in nodes) == Counter(
+                g.bit_length() - 1 for g in removal
+            ), bound
 
     def test_node_set_is_closed(self):
         tree = enumerate_tree(8)

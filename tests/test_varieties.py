@@ -101,6 +101,20 @@ class TestSmallestVariety:
             fam = [random_semigroup(rng, max_gen=9, max_count=3) for _ in range(rng.randint(1, 3))]
             assert smallest_variety(fam).members == product_variety(fam), [str(s) for s in fam]
 
+    def test_closure_builds_each_member_once(self, monkeypatch):
+        """Intersections are met on gap masks; only new masks become semigroups."""
+        build = NumericalSemigroup._from_mask.__func__
+        masks = []
+
+        def counting(cls, mask):
+            masks.append(mask)
+            return build(cls, mask)
+
+        fam = family([11, 13, 17], [10, 13, 17, 19], [9, 14, 19], [4, 6, 7, 9])
+        monkeypatch.setattr(NumericalSemigroup, "_from_mask", classmethod(counting))
+        assert len(smallest_variety(fam)) == 92
+        assert len(masks) <= 200
+
     def test_monotone_in_the_family(self):
         small = set(smallest_variety(family([2, 5])).members)
         big = set(smallest_variety(family([2, 5], [3, 5, 7])).members)
