@@ -29,8 +29,9 @@ from typing import Iterable, NamedTuple
 
 from .errors import GcdNotOne, NonPositiveDivisor, NotASemigroup, TooLarge
 
-#: Default ceiling for the conductor accepted by the generator sieve, and
-#: for the range ``proportionally_modular`` scans.
+#: Default ceiling for F + m (Frobenius number plus multiplicity) of a
+#: semigroup built from generators, and for the range
+#: ``proportionally_modular`` scans.
 DEFAULT_LIMIT = 10**6
 
 
@@ -139,10 +140,14 @@ class NumericalSemigroup:
     ) -> "NumericalSemigroup":
         """Smallest numerical semigroup containing the given generators.
 
-        Membership is sieved upward until a run of multiplicity-many
-        consecutive members appears; from that point on everything is a
-        member, so the gap set below it is exact.  Construction is
-        rejected with :class:`TooLarge` once the sieve passes ``limit``.
+        The members up to a window top are one mask: each generator g
+        is added by OR-ing in the mask shifted by g, 2g, 4g, ..., which
+        reaches every multiple of g within the window.  Once the largest
+        gap plus the multiplicity fits in the window, multiplicity-many
+        consecutive members follow it and the gap set is exact;
+        otherwise the window doubles.  Construction is rejected with
+        :class:`TooLarge` when the window at ``limit`` is not enough,
+        that is when F + m > ``limit``.
         """
         gens = sorted({int(g) for g in generators})
         if not gens:
@@ -153,29 +158,22 @@ class NumericalSemigroup:
             raise GcdNotOne(
                 f"gcd of {gens} is {math.gcd(*gens)}; the complement would be infinite"
             )
-        if gens[0] == 1:
-            return cls()
-        m = gens[0]
-        table = bytearray(min(2 * gens[-1], limit) + 2)  # x > limit raises before use
-        table[0] = 1
-        run, x = 0, 1
-        while run < m:
-            if x > limit:
-                raise TooLarge(f"conductor of {gens} exceeds the limit {limit}")
-            if x >= len(table):
-                table.extend(bytearray(len(table)))
-            hit = 0
+        top = max(min(2 * gens[-1], limit), 0)
+        while True:
+            window = (1 << (top + 1)) - 1
+            members = 1
             for g in gens:
-                if g > x:
-                    break
-                if table[x - g]:
-                    hit = 1
-                    break
-            table[x] = hit
-            run = run + 1 if hit else 0
-            x += 1
-        # members are consecutive from x - m on; the gaps all lie below
-        return cls(i for i in range(1, x - m) if not table[i])
+                if not (members >> g) & 1:
+                    shift = g
+                    while shift <= top:
+                        members |= (members << shift) & window
+                        shift *= 2
+            gaps = ~members & window
+            if gaps.bit_length() - 1 + gens[0] <= top:
+                return cls._from_mask(gaps)
+            if top >= limit:
+                raise TooLarge(f"conductor of {gens} exceeds the limit {limit}")
+            top = min(2 * top, limit)
 
     @classmethod
     def naturals(cls) -> "NumericalSemigroup":

@@ -22,7 +22,7 @@ class NonPositiveDivisor(SemigroupError):
 
 
 class TooLarge(SemigroupError):
-    """The conductor would exceed the configured sieve limit."""
+    """A conductor, modulus or scan range would exceed its configured limit."""
 
 
 class IsNaturals(SemigroupError):

@@ -90,12 +90,12 @@ def enumerate_tree(
 ) -> VarietyTree:
     """Breadth-first generation of every accepted semigroup under the bound.
 
-    Starting from the full set, each frontier node is expanded into its
-    accepted bounded doubles until nothing new appears.  Completeness
-    needs the predicate to be quotient-closed (each node's halving
-    chain must stay accepted).  That is re-checked on the result: the
-    half-quotient of each node must be the accepted node it was found
-    under, and by induction so is every ancestor's.  A violation raises
+    Starting from the full set, each node is expanded into its accepted
+    bounded doubles until none is left.  Completeness needs the
+    predicate to be quotient-closed (each node's halving chain must stay
+    accepted).  That is re-checked on the result: the half-quotient of
+    each node must be the accepted node it was found under, and by
+    induction so is every ancestor's.  A violation raises
     :class:`PredicateNotClosed`.
     """
     if bound < 1:
@@ -103,26 +103,19 @@ def enumerate_tree(
     root = NATURALS
     if not predicate.accepts(root):
         raise PredicateNotClosed(f"{predicate.name} rejects {root}")
-    seen = {root}
-    frontier = [root]
+    nodes = [root]
     edges: list[tuple[NumericalSemigroup, NumericalSemigroup]] = []
-    while frontier:
-        nxt = []
-        for s in frontier:  # a node has one parent, its half: no order changes an edge
-            for t in children(s, bound, predicate):
-                if t in seen:
-                    continue
-                seen.add(t)
-                edges.append((s, t))
-                nxt.append(t)
-        frontier = nxt
+    for s in nodes:  # grows while it is walked; a double is found only under its half
+        for t in children(s, bound, predicate):
+            edges.append((s, t))
+            nodes.append(t)
     for p, t in edges:
         if _every_nth_bit(t.gap_mask, 2) != p.gap_mask:  # the gap mask of t.halve()
             raise PredicateNotClosed(f"{t} was found under {p}, not under its half")
     return VarietyTree(
         bound=bound,
         predicate_name=predicate.name,
-        nodes=tuple(sorted(seen, key=lambda s: s.min_generators)),
+        nodes=tuple(sorted(nodes, key=lambda s: s.min_generators)),
         edges=tuple(sorted(edges, key=lambda e: (e[0].min_generators, e[1].min_generators))),
     )
 

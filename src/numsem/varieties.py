@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .core import NATURALS, NumericalSemigroup
+from .core import NATURALS, NumericalSemigroup, _every_nth_bit
 from .errors import IsNaturals
 
 
@@ -62,34 +62,9 @@ class ExtremalElements(NamedTuple):
     minimum_proper: NumericalSemigroup
 
 
-def _intersection_closure(seed: Iterable[NumericalSemigroup]) -> set[NumericalSemigroup]:
-    """Every finite intersection of members of ``seed``.
-
-    Pairs are met on gap masks (an intersection's is the OR of both), so
-    a semigroup is built and validated only for a mask not seen before.
-    """
-    members = {s.gap_mask: s for s in seed}
-    work = list(members)
-    while work:
-        a = work.pop()
-        for b in list(members):
-            if (c := a | b) not in members:
-                members[c] = NumericalSemigroup._from_mask(c)
-                work.append(c)
-    return set(members.values())
-
-
 def arithmetic_extensions(s: NumericalSemigroup) -> VarietySet:
-    """The smallest arithmetic variety containing ``s``.
-
-    Quotients by members are the full set, so the generating quotients
-    are exactly those by gaps; closing that seed (plus the full set)
-    under pairwise intersection reaches every finite intersection of
-    quotients, which is the whole family.
-    """
-    return VarietySet.of(
-        _intersection_closure([NATURALS, *(s.quotient(d) for d in s.gaps)])
-    )
+    """The smallest arithmetic variety containing ``s``."""
+    return smallest_variety([s])
 
 
 def is_arithmetic_extension(s: NumericalSemigroup, t: NumericalSemigroup) -> bool:
@@ -97,35 +72,42 @@ def is_arithmetic_extension(s: NumericalSemigroup, t: NumericalSemigroup) -> boo
 
     It suffices to intersect the quotients by every d <= F(s)+1 with
     d*t inside s (checked on t's minimal generators): quotients by
-    larger d are the full set and cannot shrink the intersection.
+    larger d are the full set and cannot shrink the intersection.  The
+    intersection is the OR of the quotients' gap masks.
     """
     if t == NATURALS:
         return True
     if not s.is_subset_of(t):
         return False
-    divisors = [
-        d
-        for d in range(1, max(s.frobenius + 1, 1) + 1)
-        if all(s.contains(d * g) for g in t.min_generators)
-    ]
-    meet = reduce(
-        NumericalSemigroup.intersect, (s.quotient(d) for d in divisors), NATURALS
-    )
-    return meet == t
+    meet = 0
+    for d in range(1, max(s.frobenius + 1, 1) + 1):
+        if all(s.contains(d * g) for g in t.min_generators):
+            meet |= _every_nth_bit(s.gap_mask, d)
+    return meet == t.gap_mask
 
 
 def smallest_variety(family: Sequence[NumericalSemigroup]) -> VarietySet:
     """Smallest arithmetic variety containing every member of ``family``.
 
-    The union of the per-member extension sets is closed under
-    quotients, and quotients distribute over intersections, so its
-    intersection closure is closed under both: it is the variety.
+    The variety is the closure under finite intersection of the full
+    set and the quotients of the members; quotients by members are the
+    full set, so the quotients by gaps suffice, and since
+    (S/a)/b = S/ab and quotients distribute over intersections, that
+    closure is also closed under quotients.  The quotients are added to
+    the closure one at a time: the closure of X and q is that of X plus
+    its members intersected with q.  Intersections are met on gap masks
+    (an intersection's is the OR of both), so a semigroup is built and
+    validated only for a mask not seen before.
     """
     if not family:
         raise ValueError("family must be nonempty")
-    return VarietySet.of(
-        _intersection_closure(t for s in family for t in arithmetic_extensions(s))
-    )
+    members = {0: NATURALS}
+    for q in {_every_nth_bit(s.gap_mask, d) for s in family for d in s.gaps}:
+        if q not in members:
+            for c in list(members):
+                if (meet := c | q) not in members:
+                    members[meet] = NumericalSemigroup._from_mask(meet)
+    return VarietySet.of(members.values())
 
 
 def _max_by_inclusion(items: Sequence[NumericalSemigroup]) -> NumericalSemigroup:

@@ -1,10 +1,10 @@
 """Independent brute-force helpers used to cross-check the library.
 
 Everything here recomputes values by a route different from the
-implementation under test: plain reachability instead of the sieve,
-power-set filtering instead of closure-lattice walking, pairwise sums
-instead of bit shifts, the generator sieve instead of the double's gap
-mask, the product of extension sets instead of their intersection
+implementation under test: plain reachability instead of shifted
+member masks, power-set filtering instead of closure-lattice walking,
+pairwise sums instead of bit shifts, the generators instead of the
+double's gap mask, the product of extension sets instead of their intersection
 closure, and the classical removal tree instead of the tree of doubles.
 """
 
@@ -81,7 +81,7 @@ def naive_min_generators(s):
 
 
 def double_by_generators(s, m, upper_set):
-    """The double encoded by (m, H), sieved from 2*msg(S), m and 2H + m."""
+    """The double encoded by (m, H), generated by 2*msg(S), m and 2H + m."""
     gens = [2 * a for a in s.min_generators] + [m] + [2 * x + m for x in upper_set]
     return NumericalSemigroup.from_generators(gens)
 

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import pytest
@@ -64,7 +65,7 @@ class TestFromGenerators:
             NS.from_generators([1009, 1013], limit=1000)
 
     def test_size_guard_allocates_by_the_limit(self):
-        # the sieve table is sized by the limit, not by the largest generator
+        # the member mask is sized by the limit, not by the largest generator
         tracemalloc.start()
         try:
             for gens in ([2, 10**13 + 1], [2, 10**8 + 1]):
@@ -74,6 +75,23 @@ class TestFromGenerators:
         finally:
             tracemalloc.stop()
         assert peak < 10**6
+
+    @pytest.mark.parametrize("gens", [[3, 5], [7, 11, 13], [900, 907]])
+    def test_limit_is_frobenius_plus_multiplicity(self, gens):
+        s = NS.from_generators(gens)
+        assert NS.from_generators(gens, limit=s.frobenius + s.multiplicity) == s
+        with pytest.raises(TooLarge):
+            NS.from_generators(gens, limit=s.frobenius + s.multiplicity - 1)
+
+
+@settings(max_examples=150)
+@given(
+    st.lists(st.integers(1, 60), min_size=1, max_size=5).filter(
+        lambda gs: math.gcd(*gs) == 1
+    )
+)
+def test_from_generators_matches_reachability(gens):
+    assert NS.from_generators(gens).gap_set == naive_gap_set(gens)
 
 
 class TestFromGaps:

@@ -270,7 +270,7 @@ class TestDoubleLabel:
 @settings(max_examples=100)
 @given(semigroups(max_gen=9), st.data())
 def test_double_mask_matches_generator_route(s, data):
-    """The double's gap mask equals the sieve of 2*msg(S), m and 2H + m."""
+    """The double's gap mask equals the semigroup generated by 2*msg(S), m and 2H + m."""
     m = data.draw(
         st.sampled_from([m for m in range(1, 2 * s.frobenius + 4, 2) if s.contains(m)])
     )

@@ -115,6 +115,28 @@ class TestSmallestVariety:
         assert len(smallest_variety(fam)) == 92
         assert len(masks) <= 200
 
+    @pytest.mark.parametrize(
+        "close, gen_lists, size",
+        [
+            (smallest_variety, ([11, 13, 17], [10, 13, 17, 19], [9, 14, 19], [4, 6, 7, 9]), 92),
+            (lambda fam: arithmetic_extensions(*fam), ([30, 31],), 2454),
+        ],
+        ids=["variety", "extensions"],
+    )
+    def test_closure_builds_only_new_masks(self, monkeypatch, close, gen_lists, size):
+        """Every member but the full set is built once, from a mask not seen before."""
+        build = NumericalSemigroup._from_mask.__func__
+        masks = []
+
+        def counting(cls, mask):
+            masks.append(mask)
+            return build(cls, mask)
+
+        fam = family(*gen_lists)
+        monkeypatch.setattr(NumericalSemigroup, "_from_mask", classmethod(counting))
+        assert len(close(fam)) == size
+        assert len(masks) == len(set(masks)) == size - 1
+
     def test_monotone_in_the_family(self):
         small = set(smallest_variety(family([2, 5])).members)
         big = set(smallest_variety(family([2, 5], [3, 5, 7])).members)
