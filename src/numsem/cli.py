@@ -17,7 +17,7 @@ from .core import NumericalSemigroup, proportionally_modular
 from .doubles import build_double, doubles_bounded, upper_m_sets
 from .errors import SemigroupError
 from .oracle import _doubles_in, all_semigroups_up_to, extension_oracle
-from .tree import ALL_SEMIGROUPS, VarietyTree, depth_predicate, enumerate_tree, export_tree
+from .tree import ALL_SEMIGROUPS, depth_predicate, enumerate_tree, export_tree
 from .varieties import arithmetic_extensions, is_arithmetic_extension, monoid_hull, smallest_variety
 
 
@@ -98,16 +98,8 @@ def _double_line(m: int, upper_set, t: NumericalSemigroup) -> str:
     return f"S({m}; {h}) = {t} F={t.frobenius}\n"
 
 
-def _tree_text(tree: VarietyTree) -> str:
-    lines: list[str] = []
-
-    def walk(node, level):
-        lines.append("  " * level + str(node) + "\n")
-        for child in tree.children_of(node):
-            walk(child, level + 1)
-
-    walk(tree.root, 0)
-    return "".join(lines)
+def _double_json(m: int, upper_set, t: NumericalSemigroup) -> dict:
+    return {"m": m, "H": sorted(upper_set), "semigroup": t.to_json_dict()}
 
 
 # -- verb handlers: each returns (exit_code, output_text) --------------
@@ -179,13 +171,7 @@ def _cmd_double(args) -> tuple[int, str]:
     s = NumericalSemigroup.from_generators(args.generators)
     t = build_double(s, args.modulus, args.upper_set)
     if args.format == "json":
-        return 0, _json_text(
-            {
-                "m": args.modulus,
-                "H": sorted(args.upper_set),
-                "semigroup": t.to_json_dict(),
-            }
-        )
+        return 0, _json_text(_double_json(args.modulus, args.upper_set, t))
     return 0, _double_line(args.modulus, args.upper_set, t)
 
 
@@ -193,25 +179,13 @@ def _cmd_doubles(args) -> tuple[int, str]:
     s = NumericalSemigroup.from_generators(args.generators)
     results = doubles_bounded(s, args.frobenius_bound)
     if args.format == "json":
-        return 0, _json_text(
-            [
-                {
-                    "m": label.m,
-                    "H": sorted(label.upper_set),
-                    "semigroup": t.to_json_dict(),
-                }
-                for label, t in results
-            ]
-        )
+        return 0, _json_text([_double_json(l.m, l.upper_set, t) for l, t in results])
     return 0, "".join(_double_line(l.m, l.upper_set, t) for l, t in results)
 
 
 def _cmd_tree(args) -> tuple[int, str]:
     predicate = ALL_SEMIGROUPS if args.depth is None else depth_predicate(args.depth)
-    tree = enumerate_tree(args.frobenius_bound, predicate)
-    if args.format in ("dot", "json"):
-        return 0, export_tree(tree, args.format)
-    return 0, _tree_text(tree)
+    return 0, export_tree(enumerate_tree(args.frobenius_bound, predicate), args.format)
 
 
 def _cmd_enumerate_all(args) -> tuple[int, str]:

@@ -1,11 +1,14 @@
 """Doubling machinery: the semigroups T whose half-quotient is a given S.
 
 Every such T is encoded by a pair (m, H) where m is an odd member of S
-and H is an "upper m-set" of gaps — a subset satisfying three closure
-conditions — via
+and H is a set of gaps of S, via
 
     T = {2s : s in S} ∪ {2s + m : s in S} ∪ {2h + m : h in H}.
 
+T is a numerical semigroup exactly when H is an "upper m-set": the
+even + odd sums give the absorption condition, and the odd + odd sums
+give h + m and h1 + h2 + m in S.  So every label is decided by one
+test, the closure test of T's gap mask (:func:`numsem.core._is_closed`).
 Distinct pairs encode distinct semigroups, its Frobenius number has a
 closed form, and the pairs whose semigroup stays under a Frobenius
 bound can be enumerated exactly.  The empty H is vacuously valid and
@@ -24,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import DEFAULT_LIMIT, NumericalSemigroup, _bits, _mask_of, _members
-from .errors import BadM, InvalidCertificate, NotGapSubset, TooLarge
+from .core import DEFAULT_LIMIT, NumericalSemigroup, _bits, _is_closed, _mask_of, _members
+from .errors import BadM, InvalidCertificate, NotASemigroup, NotGapSubset, TooLarge
 
 
 @dataclass(frozen=True)
@@ -69,17 +72,12 @@ def _sums_ok(gaps: int, m: int, left: int, right: int) -> bool:
     return not any((right << (a + m)) & gaps for a in _bits(left))
 
 
-def _is_upper_mask(gaps: int, m: int, h: int) -> bool:
-    """:func:`is_upper_m_set` on masks, with the modulus and subset checks as conditions."""
-    members = _members(gaps)
-    return bool(
-        m & 1
-        and not (gaps >> m) & 1
-        and not h & ~gaps
-        and not (h << m) & gaps
-        and _sums_ok(gaps, m, h, h)
-        and not any(gaps & (members << x) & ~h for x in _bits(h))
-    )
+def _label_mask(s: NumericalSemigroup, m: int, h: frozenset[int]) -> int:
+    """Gap mask of the double labelled (m, h), once m and h pass the input checks."""
+    _check_modulus(s, m)
+    if not h <= s.gap_set:
+        raise NotGapSubset(f"{sorted(h - s.gap_set)} are not gaps of {s}")
+    return _double_mask(s.gap_mask, m, _mask_of(h))
 
 
 def is_upper_m_set(
@@ -90,12 +88,11 @@ def is_upper_m_set(
     The conditions: h + m and h1 + h2 + m must be members for all
     h, h1, h2 in the set, and for each h the set must absorb every gap
     x with x - h a member.  All three hold vacuously for the empty set.
+    They hold exactly when the double labelled (m, candidate) is closed
+    under addition, so that closure test is what decides.
     """
-    _check_modulus(s, m)
-    h = frozenset(candidate)
-    if not h <= s.gap_set:
-        raise NotGapSubset(f"{sorted(h - s.gap_set)} are not gaps of {s}")
-    return _is_upper_mask(s.gap_mask, m, _mask_of(h))
+    t = _label_mask(s, m, frozenset(candidate))
+    return _is_closed(t, t.bit_length() - 1)
 
 
 def _principal_closures(gaps: int) -> list[int]:
@@ -155,32 +152,33 @@ def upper_m_sets(s: NumericalSemigroup, m: int) -> list[frozenset[int]]:
     return [frozenset(h) for h in sorted(map(_bits, found))]
 
 
-def _certificate(s: NumericalSemigroup, m: int, upper_set: Iterable[int]) -> int:
-    """Mask of ``upper_set`` once it is shown an upper m-set of ``s``."""
-    h = frozenset(upper_set)
-    try:
-        valid = is_upper_m_set(s, m, h)
-    except (BadM, NotGapSubset) as exc:  # TooLarge passes: the label may be valid
-        raise InvalidCertificate(str(exc)) from exc
-    if not valid:
-        raise InvalidCertificate(f"{sorted(h)} is not an upper {m}-set of {s}")
-    return _mask_of(h)
-
-
 def build_double(
     s: NumericalSemigroup, m: int, upper_set: Iterable[int]
 ) -> NumericalSemigroup:
-    """The semigroup encoded by (s, m, upper_set); its half-quotient is s."""
-    h = _certificate(s, m, upper_set)
-    return NumericalSemigroup._from_mask(_double_mask(s.gap_mask, m, h))
+    """The semigroup encoded by (s, m, upper_set); its half-quotient is s.
+
+    A label that fails the input checks of :func:`is_upper_m_set`, or
+    whose double is not closed, raises :class:`InvalidCertificate`.
+    """
+    h = frozenset(upper_set)
+    try:
+        return NumericalSemigroup._from_mask(_label_mask(s, m, h))
+    except (BadM, NotGapSubset) as exc:  # TooLarge passes: the label may be valid
+        raise InvalidCertificate(str(exc)) from exc
+    except NotASemigroup:
+        raise InvalidCertificate(f"{sorted(h)} is not an upper {m}-set of {s}") from None
 
 
 def frobenius_of_double(
     s: NumericalSemigroup, m: int, upper_set: Iterable[int]
 ) -> int:
-    """Closed-form Frobenius number of the double encoded by (m, upper_set)."""
-    h = _certificate(s, m, upper_set)
-    outside = s.gap_mask & ~h
+    """Closed-form Frobenius number of the double encoded by (m, upper_set).
+
+    The label is validated as :func:`build_double` does.
+    """
+    h = frozenset(upper_set)
+    build_double(s, m, h)
+    outside = s.gap_mask & ~_mask_of(h)
     if not outside:
         return max(2 * s.frobenius, m - 2)
     return max(2 * s.frobenius, 2 * (outside.bit_length() - 1) + m)
@@ -191,42 +189,35 @@ def doubles_bounded(
 ) -> list[tuple[DoubleLabel, NumericalSemigroup]]:
     """All (label, T) with T/2 == s and Frobenius(T) <= bound.
 
-    Two sources: the full gap set paired with every odd m between
-    F(s)+1 and bound+2, and every proper upper m-set (the empty one
-    included) for odd members m <= bound-2, kept when twice the largest
-    missing gap plus m stays under the bound.  No doubles exist at all
-    once 2*F(s) exceeds the bound.  For the full set the first source
-    alone yields the <2, m> family; its m = 1 case is the full set
-    itself and is dropped.
+    F(T) is at least 2*F(s), so there are none once that exceeds the
+    bound.  Otherwise one loop runs over the odd members
+    3 <= m <= bound+2 (m = 1 is a member only of the full set, and
+    gives it back).  F(T) <= bound iff 2x + m <= bound for every gap x
+    outside H, so H holds every gap from ``above`` = (bound - m)//2 + 1
+    on, and the upper m-sets are walked up from those gaps.  From
+    m = bound-1 on that is the whole gap set, an upper m-set exactly
+    when m > F(s); over the full set it gives the <2, m> family.  Each
+    T is built once, through the closure test of its gap mask.
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
     if 2 * s.frobenius > bound:
         return []
+    if bound + 2 > DEFAULT_LIMIT:  # the moduli reach bound + 2, as in _check_modulus
+        raise TooLarge(
+            f"bound {bound} takes moduli up to {bound + 2}, above the limit {DEFAULT_LIMIT}"
+        )
     gaps = s.gap_mask
-    labels: list[tuple[int, int]] = []
-
-    first = max((s.frobenius + 1) | 1, 3)  # m = 1 only over the full set, giving itself
-    labels.extend((m, gaps) for m in range(first, bound + 3, 2))
-
     principals = _principal_closures(gaps)
-    for m in range(1, bound - 1, 2):
+    results: list[tuple[DoubleLabel, NumericalSemigroup]] = []
+    for m in range(3, bound + 3, 2):
         if not s.contains(m):
             continue
-        # 2 * max(gaps - h) + m <= bound: h holds every gap from `above` on,
-        # and those gaps are absorption-closed, as a gap absorbs only larger ones
+        # the gaps from `above` on are absorption-closed, as a gap absorbs only larger ones
         above = (bound - m) // 2 + 1
         for h in _upper_masks(gaps, m, principals, gaps >> above << above):
-            if h != gaps:
-                labels.append((m, h))
-
-    results: list[tuple[DoubleLabel, NumericalSemigroup]] = []
-    for m, h in labels:
-        # each label is checked once more on its own, as build_double does
-        if not _is_upper_mask(gaps, m, h):
-            raise InvalidCertificate(f"{_bits(h)} is not an upper {m}-set of {s}")
-        t = NumericalSemigroup._from_mask(_double_mask(gaps, m, h))
-        results.append((DoubleLabel(m, frozenset(_bits(h))), t))
+            t = NumericalSemigroup._from_mask(_double_mask(gaps, m, h))
+            results.append((DoubleLabel(m, frozenset(_bits(h))), t))
     results.sort(key=lambda pair: pair[1].min_generators)
     return results
 

@@ -42,7 +42,7 @@ class InvalidCertificate(SemigroupError):
 
 
 class PredicateNotClosed(SemigroupError):
-    """A tree predicate violated the closure assumptions it advertises."""
+    """A tree walk met a rejected root or a child filed under a node not its half."""
 
 
 class BoundTooLarge(SemigroupError):

@@ -93,10 +93,12 @@ def enumerate_tree(
     Starting from the full set, each node is expanded into its accepted
     bounded doubles until none is left.  Completeness needs the
     predicate to be quotient-closed (each node's halving chain must stay
-    accepted).  That is re-checked on the result: the half-quotient of
-    each node must be the accepted node it was found under, and by
-    induction so is every ancestor's.  A violation raises
-    :class:`PredicateNotClosed`.
+    accepted), and nothing checks that: a predicate that is not closed
+    silently loses the accepted descendants of every rejected node, so
+    rejecting only <2,3> leaves 5 of the 16 nodes at bound 6, with no
+    error.  :class:`PredicateNotClosed` is raised only when the
+    predicate rejects the root, or when the post-walk check finds a
+    node whose half-quotient is not the node it was found under.
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
@@ -153,8 +155,23 @@ def _tree_json(tree: VarietyTree) -> str:
     return f'{{\n  "nodes": {nodes},\n  "edges": {edges}\n}}\n'
 
 
+def _tree_text(tree: VarietyTree) -> str:
+    """One node per line, indented two spaces per level below the root."""
+    lines: list[str] = []
+
+    def walk(node: NumericalSemigroup, level: int) -> None:
+        lines.append("  " * level + str(node) + "\n")
+        for child in tree.children_of(node):
+            walk(child, level + 1)
+
+    walk(tree.root, 0)
+    return "".join(lines)
+
+
 def export_tree(tree: VarietyTree, format: str) -> str:
-    """Render as a Graphviz digraph ("dot") or adjacency lists ("json")."""
+    """Render as indented text ("text"), a Graphviz digraph ("dot") or adjacency lists ("json")."""
+    if format == "text":
+        return _tree_text(tree)
     if format == "dot":
         return tree.to_dot()
     if format == "json":

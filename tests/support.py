@@ -46,21 +46,25 @@ def naive_gap_set(gens):
         bound *= 2
 
 
+def naive_is_upper_set(s, m, h):
+    """The three conditions of an upper m-set, checked element by element."""
+    gaps = s.gaps
+    shifts_ok = all(s.contains(x + m) for x in h)
+    sums_ok = all(s.contains(a + b + m) for a in h for b in h)
+    absorbed = all(x in h for hh in h for x in gaps if s.contains(x - hh))
+    return shifts_ok and sums_ok and absorbed
+
+
 def naive_upper_sets(s, m, include_empty=False):
     """Upper m-sets by filtering the full power set of the gaps."""
     gaps = s.gaps
-    out = [frozenset()] if include_empty else []
-    for r in range(1, len(gaps) + 1):
-        for combo in itertools.combinations(gaps, r):
-            h = set(combo)
-            shifts_ok = all(s.contains(x + m) for x in h)
-            sums_ok = all(s.contains(a + b + m) for a in h for b in h)
-            absorbed = all(
-                x in h for hh in h for x in gaps if s.contains(x - hh)
-            )
-            if shifts_ok and sums_ok and absorbed:
-                out.append(frozenset(h))
-    return sorted(out, key=lambda h: tuple(sorted(h)))
+    subsets = (
+        frozenset(combo)
+        for r in range(0 if include_empty else 1, len(gaps) + 1)
+        for combo in itertools.combinations(gaps, r)
+    )
+    found = [h for h in subsets if naive_is_upper_set(s, m, h)]
+    return sorted(found, key=lambda h: tuple(sorted(h)))
 
 
 def naive_is_closed(gaps):

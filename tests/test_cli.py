@@ -6,6 +6,27 @@ from numsem.cli import main
 
 VARIETY_GOLDEN = "<1>\n<2,3>\n<2,5>\n<3,4,5>\n<3,5,7>\n<4,5,6,7>\n<5,6,7,8,9>\n"
 
+DOUBLES_GOLDEN = """\
+S(5; 3,6,7) = <5,8,11,17> F=14
+S(5; 6,7) = <5,8,17,19> F=14
+S(9; 1,2,6,7) = <8,9,10,11,13> F=15
+S(9; 1,2,3,6,7) = <8,9,10,11,13,15> F=14
+S(9; 1,3,6,7) = <8,9,10,11,15> F=14
+S(9; 1,6,7) = <8,9,10,11,23> F=15
+S(9; 2,6,7) = <8,9,10,13> F=15
+S(9; 2,3,6,7) = <8,9,10,13,15> F=14
+S(9; 3,6,7) = <8,9,10,15,21,22> F=14
+S(9; 6,7) = <8,9,10,21,22,23> F=15
+S(11; 1,2,3,6,7) = <8,10,11,13,15,17> F=14
+S(11; 1,3,6,7) = <8,10,11,13,17> F=15
+S(11; 2,3,6,7) = <8,10,11,15,17> F=14
+S(11; 3,6,7) = <8,10,11,17,23> F=15
+S(13; 1,2,3,6,7) = <8,10,13,15,17,19,22> F=14
+S(13; 2,3,6,7) = <8,10,13,17,19,22> F=15
+S(15; 1,2,3,6,7) = <8,10,15,17,19,21,22> F=14
+S(17; 1,2,3,6,7) = <8,10,17,19,21,22,23> F=15
+"""
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -51,6 +72,7 @@ class TestGoldenOutputs:
         assert len(lines) == 18
         assert "S(5; 3,6,7) = <5,8,11,17> F=14" in lines
         assert "S(9; 6,7) = <8,9,10,21,22,23> F=15" in lines
+        assert out == DOUBLES_GOLDEN
 
     def test_double_with_empty_upper_set(self, capsys):
         code, out, _ = run(capsys, "double", "2,3", "--modulus", "3")
@@ -178,6 +200,15 @@ class TestWorkLimits:
                 assert err.startswith("error: TooLarge: ")
                 assert "Traceback" not in err
                 assert time.monotonic() - start < 10
+
+    def test_huge_frobenius_bound_fails_fast(self, capsys):
+        for argv in (("tree",), ("doubles", "2,3")):
+            start = time.monotonic()
+            code, out, err = run(capsys, *argv, "--frobenius-bound", "100000000")
+            assert (code, out) == (1, "")
+            assert err.startswith("error: TooLarge: ")
+            assert "Traceback" not in err
+            assert time.monotonic() - start < 10
 
     def test_large_conductor_info(self, capsys):
         start = time.monotonic()

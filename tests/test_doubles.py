@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +22,8 @@ from numsem import (
     upper_m_sets,
     all_semigroups_up_to,
 )
-from support import double_by_generators, naive_upper_sets, semigroups
+from numsem import core, doubles
+from support import double_by_generators, naive_is_upper_set, naive_upper_sets, semigroups
 
 NS = NumericalSemigroup
 
@@ -76,6 +79,22 @@ class TestIsUpperMSet:
     def test_nongap_elements_rejected(self):
         with pytest.raises(NotGapSubset):
             is_upper_m_set(S4511, 5, {4, 6})
+
+    def test_matches_the_three_conditions_on_every_gap_subset(self):
+        """The closure test of the double decides exactly the definition, failures included."""
+        checked = failing = 0
+        for s in all_semigroups_up_to(9).semigroups:
+            gaps = s.gaps
+            subsets = [h for r in range(len(gaps) + 1) for h in itertools.combinations(gaps, r)]
+            for m in range(1, 2 * s.frobenius + 6, 2):
+                if not s.contains(m):
+                    continue
+                for h in subsets:
+                    expected = naive_is_upper_set(s, m, h)
+                    assert is_upper_m_set(s, m, h) == expected, (str(s), m, h)
+                    checked += 1
+                    failing += not expected
+        assert failing > 1000 and checked - failing > 1000
 
 
 class TestUpperMSets:
@@ -151,6 +170,25 @@ class TestBuildDouble:
         with pytest.raises(InvalidCertificate):
             build_double(S4511, 4, {6})
 
+    def test_one_closure_test_per_double(self, monkeypatch):
+        tested = []
+        real = core._is_closed
+
+        def counting(mask, frobenius):
+            tested.append(mask)
+            return real(mask, frobenius)
+
+        monkeypatch.setattr(core, "_is_closed", counting)
+        monkeypatch.setattr(doubles, "_is_closed", counting)
+        build_double(S4511, 5, {3, 6, 7})
+        with pytest.raises(InvalidCertificate):
+            build_double(S4511, 5, {3})
+        assert len(tested) == 2
+        tested.clear()
+        assert not is_upper_m_set(S4511, 5, {3}) and len(tested) == 1
+        tested.clear()
+        assert len(doubles_bounded(S4511, 15)) == len(tested) == 18
+
 
 class TestFrobeniusOfDouble:
     def test_full_gap_set_branch(self):
@@ -191,6 +229,13 @@ class TestModulusLimit:
     def test_bad_modulus_is_still_bad_m(self):
         with pytest.raises(BadM):
             upper_m_sets(NS.from_generators([2, 5]), DEFAULT_LIMIT + 2)
+
+    def test_bound_above_the_limit(self):
+        # the moduli of the doubles reach bound + 2
+        with pytest.raises(TooLarge):
+            doubles_bounded(NATURALS, DEFAULT_LIMIT - 1)
+        # once 2F exceeds the bound there are still no doubles, whatever the bound
+        assert doubles_bounded(NS.from_generators([1000, 1001]), 1_500_000) == []
 
 
 class TestDoublesBounded:
@@ -237,6 +282,22 @@ class TestDoublesBounded:
         for s in all_semigroups_up_to(12).semigroups:
             for b in range(1, 25):
                 assert all(t != s and t != NATURALS for _, t in doubles_bounded(s, b))
+
+    def test_labels_match_power_set_and_generator_route(self):
+        """Labels, semigroups and order against filtered power sets and generated doubles."""
+        for s in all_semigroups_up_to(8).semigroups:
+            pairs = [
+                (DoubleLabel(m, h), double_by_generators(s, m, h))
+                for m in range(3, 2 * s.frobenius + 13, 2)
+                if s.contains(m)
+                for h in naive_upper_sets(s, m, include_empty=True)
+            ]
+            for bound in range(1, 2 * s.frobenius + 7):
+                expected = sorted(
+                    (p for p in pairs if p[1].frobenius <= bound),
+                    key=lambda p: p[1].min_generators,
+                )
+                assert doubles_bounded(s, bound) == expected, (str(s), bound)
 
     def test_bad_bound(self):
         with pytest.raises(ValueError):

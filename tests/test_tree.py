@@ -200,6 +200,22 @@ class TestExport:
                 expected = json.dumps(tree.to_json_dict(), indent=2) + "\n"
                 assert export_tree(tree, "json") == expected
 
+    def test_text_nesting_is_the_edge_list(self):
+        """Each line's parent is the nearest line above it one level up."""
+        for bound in range(1, 13):
+            for pred in (ALL_SEMIGROUPS, depth_predicate(2)):
+                tree = enumerate_tree(bound, pred)
+                names, edges, path = [], [], []
+                for line in export_tree(tree, "text").splitlines():
+                    name = line.lstrip(" ")
+                    del path[(len(line) - len(name)) // 2:]
+                    if path:
+                        edges.append((path[-1], name))
+                    path.append(name)
+                    names.append(name)
+                assert sorted(names) == sorted(map(str, tree.nodes))
+                assert sorted(edges) == sorted((str(p), str(c)) for p, c in tree.edges)
+
     def test_unknown_format(self):
         with pytest.raises(UnknownFormat):
             export_tree(enumerate_tree(1), "svg")
