@@ -14,7 +14,7 @@ import sys
 from typing import Callable
 
 from .core import NumericalSemigroup, proportionally_modular
-from .doubles import build_double, doubles_bounded, upper_m_sets
+from .doubles import DoubleLabel, build_double, doubles_bounded, upper_m_sets
 from .errors import SemigroupError
 from .oracle import _doubles_in, all_semigroups_up_to, extension_oracle
 from .tree import ALL_SEMIGROUPS, depth_predicate, enumerate_tree, export_tree
@@ -93,13 +93,12 @@ def _render_family(members, fmt: str) -> str:
     return "".join(str(s) + "\n" for s in members)
 
 
-def _double_line(m: int, upper_set, t: NumericalSemigroup) -> str:
-    h = ",".join(map(str, sorted(upper_set)))
-    return f"S({m}; {h}) = {t} F={t.frobenius}\n"
+def _double_line(label: DoubleLabel, t: NumericalSemigroup) -> str:
+    return f"{label} = {t} F={t.frobenius}\n"
 
 
-def _double_json(m: int, upper_set, t: NumericalSemigroup) -> dict:
-    return {"m": m, "H": sorted(upper_set), "semigroup": t.to_json_dict()}
+def _double_json(label: DoubleLabel, t: NumericalSemigroup) -> dict:
+    return {**label.to_json_dict(), "semigroup": t.to_json_dict()}
 
 
 # -- verb handlers: each returns (exit_code, output_text) --------------
@@ -169,18 +168,19 @@ def _cmd_upper_sets(args) -> tuple[int, str]:
 
 def _cmd_double(args) -> tuple[int, str]:
     s = NumericalSemigroup.from_generators(args.generators)
-    t = build_double(s, args.modulus, args.upper_set)
+    label = DoubleLabel(args.modulus, frozenset(args.upper_set))
+    t = build_double(s, label.m, label.upper_set)
     if args.format == "json":
-        return 0, _json_text(_double_json(args.modulus, args.upper_set, t))
-    return 0, _double_line(args.modulus, args.upper_set, t)
+        return 0, _json_text(_double_json(label, t))
+    return 0, _double_line(label, t)
 
 
 def _cmd_doubles(args) -> tuple[int, str]:
     s = NumericalSemigroup.from_generators(args.generators)
     results = doubles_bounded(s, args.frobenius_bound)
     if args.format == "json":
-        return 0, _json_text([_double_json(l.m, l.upper_set, t) for l, t in results])
-    return 0, "".join(_double_line(l.m, l.upper_set, t) for l, t in results)
+        return 0, _json_text([_double_json(label, t) for label, t in results])
+    return 0, "".join(_double_line(label, t) for label, t in results)
 
 
 def _cmd_tree(args) -> tuple[int, str]:

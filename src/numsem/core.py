@@ -49,9 +49,18 @@ def _bits(x: int) -> list[int]:
     return [i for i, c in enumerate(bin(x)[:1:-1]) if c == "1"]
 
 
+def _every_nth_bits(x: int, divisors: Iterable[int]) -> list[int]:
+    """For each d, the int whose bit k is bit k*d of ``x >= 0``.
+
+    One binary string serves every d; its slice by d costs bit_length / d.
+    """
+    digits = bin(x)[:1:-1]
+    return [int(digits[::d][::-1], 2) for d in divisors]
+
+
 def _every_nth_bit(x: int, d: int) -> int:
     """Bit k of the result is bit k*d of ``x >= 0``."""
-    return int(bin(x)[:1:-1][::d][::-1], 2)
+    return _every_nth_bits(x, (d,))[0]
 
 
 def _mask_of(gaps: Iterable[int]) -> int:
@@ -285,9 +294,8 @@ class NumericalSemigroup:
         the gaps of the quotient by 2, and likewise for 3.
         """
         mask = self._mask
-        return tuple(
-            _bits(mask & ~_every_nth_bit(mask, 2) & ~_every_nth_bit(mask, 3))
-        )
+        half, third = _every_nth_bits(mask, (2, 3))
+        return tuple(_bits(mask & ~half & ~third))
 
     def is_subset_of(self, other: "NumericalSemigroup") -> bool:
         """Inclusion as sets (note: unrelated to the sorting order)."""

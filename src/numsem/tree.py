@@ -11,7 +11,7 @@ oracle can drive the same walker.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .core import NATURALS, NumericalSemigroup, _every_nth_bit
@@ -47,21 +47,20 @@ def children(
 
 @dataclass(frozen=True)
 class VarietyTree:
-    """Finite rooted tree; nodes and edges are in canonical order."""
+    """Finite rooted tree: canonical ``nodes`` and each node's children.
+
+    The walk's map from a node to its children, in canonical order, is
+    stored; ``edges`` is a view of it.  It is in ``==`` but not ``hash``.
+    """
 
     bound: int
     predicate_name: str
     nodes: tuple[NumericalSemigroup, ...]
-    edges: tuple[tuple[NumericalSemigroup, NumericalSemigroup], ...]
+    _children: dict[NumericalSemigroup, tuple[NumericalSemigroup, ...]] = field(hash=False)
 
-    def __post_init__(self) -> None:
-        # children by parent, in edge order, so children_of is one lookup
-        children: dict[NumericalSemigroup, list[NumericalSemigroup]] = {}
-        for p, c in self.edges:
-            children.setdefault(p, []).append(c)
-        object.__setattr__(
-            self, "_children", {p: tuple(cs) for p, cs in children.items()}
-        )
+    @property
+    def edges(self) -> tuple[tuple[NumericalSemigroup, NumericalSemigroup], ...]:
+        return tuple((p, c) for p in self.nodes for c in self._children[p])
 
     @property
     def root(self) -> NumericalSemigroup:
@@ -106,20 +105,16 @@ def enumerate_tree(
     if not predicate.accepts(root):
         raise PredicateNotClosed(f"{predicate.name} rejects {root}")
     nodes = [root]
-    edges: list[tuple[NumericalSemigroup, NumericalSemigroup]] = []
+    kids: dict[NumericalSemigroup, tuple[NumericalSemigroup, ...]] = {}
     for s in nodes:  # grows while it is walked; a double is found only under its half
-        for t in children(s, bound, predicate):
-            edges.append((s, t))
-            nodes.append(t)
-    for p, t in edges:
-        if _every_nth_bit(t.gap_mask, 2) != p.gap_mask:  # the gap mask of t.halve()
-            raise PredicateNotClosed(f"{t} was found under {p}, not under its half")
-    return VarietyTree(
-        bound=bound,
-        predicate_name=predicate.name,
-        nodes=tuple(sorted(nodes, key=lambda s: s.min_generators)),
-        edges=tuple(sorted(edges, key=lambda e: (e[0].min_generators, e[1].min_generators))),
-    )
+        kids[s] = tuple(children(s, bound, predicate))
+        nodes.extend(kids[s])
+    for p, cs in kids.items():
+        for t in cs:
+            if _every_nth_bit(t.gap_mask, 2) != p.gap_mask:  # the gap mask of t.halve()
+                raise PredicateNotClosed(f"{t} was found under {p}, not under its half")
+    nodes.sort(key=lambda s: s.min_generators)
+    return VarietyTree(bound, predicate.name, tuple(nodes), kids)
 
 
 def _json_array(items: list[str], pad: str) -> str:

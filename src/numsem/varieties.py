@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .core import NATURALS, NumericalSemigroup, _every_nth_bit
+from .core import NATURALS, NumericalSemigroup, _bits, _every_nth_bits
 from .errors import IsNaturals
 
 
@@ -70,20 +70,16 @@ def arithmetic_extensions(s: NumericalSemigroup) -> VarietySet:
 def is_arithmetic_extension(s: NumericalSemigroup, t: NumericalSemigroup) -> bool:
     """True iff ``t`` is an intersection of quotients of ``s``.
 
-    It suffices to intersect the quotients by every d <= F(s)+1 with
-    d*t inside s (checked on t's minimal generators): quotients by
-    larger d are the full set and cannot shrink the intersection.  The
-    intersection is the OR of the quotients' gap masks.
+    It suffices to intersect (OR the gap masks of) the quotients by the
+    gaps d of ``s`` with d*t inside s, as a quotient by a member is the
+    full set.  d*g is a member exactly when d is a member of s/g, so
+    those d are the gaps of s that no quotient by a generator of t has.
     """
-    if t == NATURALS:
-        return True
     if not s.is_subset_of(t):
         return False
-    meet = 0
-    for d in range(1, max(s.frobenius + 1, 1) + 1):
-        if all(s.contains(d * g) for g in t.min_generators):
-            meet |= _every_nth_bit(s.gap_mask, d)
-    return meet == t.gap_mask
+    mask = s.gap_mask
+    divisors = mask & ~reduce(int.__or__, _every_nth_bits(mask, t.min_generators))
+    return reduce(int.__or__, _every_nth_bits(mask, _bits(divisors)), 0) == t.gap_mask
 
 
 def smallest_variety(family: Sequence[NumericalSemigroup]) -> VarietySet:
@@ -102,7 +98,7 @@ def smallest_variety(family: Sequence[NumericalSemigroup]) -> VarietySet:
     if not family:
         raise ValueError("family must be nonempty")
     members = {0: NATURALS}
-    for q in {_every_nth_bit(s.gap_mask, d) for s in family for d in s.gaps}:
+    for q in {q for s in family for q in _every_nth_bits(s.gap_mask, s.gaps)}:
         if q not in members:
             for c in list(members):
                 if (meet := c | q) not in members:

@@ -78,6 +78,16 @@ class TestGoldenOutputs:
         code, out, _ = run(capsys, "double", "2,3", "--modulus", "3")
         assert (code, out) == (0, "S(3; ) = <3,4> F=5\n")
 
+    def test_double_lists_a_repeated_element_once(self, capsys):
+        code, out, _ = run(capsys, "double", "2,3", "--modulus", "3", "--upper-set", "1,1")
+        assert (code, out) == (0, "S(3; 1) = <3,4,5> F=2\n")
+        code, out, _ = run(
+            capsys, "double", "2,3", "--modulus", "3", "--upper-set", "1,1", "--format", "json"
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert (data["m"], data["H"], data["semigroup"]["generators"]) == (3, [1], [3, 4, 5])
+
     def test_info_text(self, capsys):
         _, out, _ = run(capsys, "info", "4,5,11")
         assert out == "<4,5,11> F=7 m=4 g=5 e=3 depth=2 gaps=1,2,3,6,7\n"
@@ -209,6 +219,11 @@ class TestWorkLimits:
             assert err.startswith("error: TooLarge: ")
             assert "Traceback" not in err
             assert time.monotonic() - start < 10
+
+    def test_is_extension_of_a_large_semigroup(self, capsys):
+        start = time.monotonic()
+        assert run(capsys, "is-extension", "400,401", "2,3") == (0, "true\n", "")
+        assert time.monotonic() - start < 10
 
     def test_large_conductor_info(self, capsys):
         start = time.monotonic()

@@ -91,8 +91,16 @@ class TestEnumerate:
         assert extra == {NS.from_generators([2, 7])}
 
     def test_tree_property(self):
-        for bound, pred in ((5, ALL_SEMIGROUPS), (8, depth_predicate(2)), (9, ALL_SEMIGROUPS)):
+        """The stored children lists are the walk's; the edges are their canonical view."""
+        key = lambda e: (e[0].min_generators, e[1].min_generators)
+        preds = (ALL_SEMIGROUPS, *map(depth_predicate, range(4)))
+        for bound, pred in ((b, p) for b in range(1, 15) for p in preds):
             tree = enumerate_tree(bound, pred)
+            assert tree.edges == tuple(sorted(tree.edges, key=key))
+            for p in tree.nodes:
+                assert tree.children_of(p) == tuple(children(p, bound, pred))
+            again = enumerate_tree(bound, pred)
+            assert again == tree and hash(again) == hash(tree)
             assert len(tree.edges) == len(tree.nodes) - 1
             nodes = set(tree.nodes)
             for p, c in tree.edges:
