@@ -18,16 +18,14 @@ from .doubles import DoubleLabel, build_double, doubles_bounded, upper_m_sets
 from .errors import SemigroupError
 from .oracle import _doubles_in, all_semigroups_up_to, extension_oracle
 from .tree import ALL_SEMIGROUPS, depth_predicate, enumerate_tree, export_tree
-from .varieties import arithmetic_extensions, is_arithmetic_extension, monoid_hull, smallest_variety
+from .varieties import _family_hull, arithmetic_extensions, is_arithmetic_extension, smallest_variety
 
 
 def _generators(text: str) -> list[int]:
     try:
         parts = [int(p) for p in text.split(",") if p]
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated positive integers, got {text!r}"
-        )
+        parts = []
     if not parts or min(parts) < 1:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated positive integers, got {text!r}"
@@ -36,8 +34,6 @@ def _generators(text: str) -> list[int]:
 
 
 def _element_list(text: str) -> list[int]:
-    if text == "":
-        return []
     try:
         parts = [int(p) for p in text.split(",") if p]
     except ValueError:
@@ -49,24 +45,21 @@ def _element_list(text: str) -> list[int]:
     return parts
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
+def _int_at_least(low: int, kind: str) -> Callable[[str], int]:
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {value}")
+        return value
+
+    return parse
 
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {value}")
-    return value
+_positive_int = _int_at_least(1, "positive")
+_nonnegative_int = _int_at_least(0, "nonnegative")
 
 
 def _json_text(obj) -> str:
@@ -154,8 +147,7 @@ def _cmd_is_extension(args) -> tuple[int, str]:
 
 def _cmd_hull(args) -> tuple[int, str]:
     family = [NumericalSemigroup.from_generators(g) for g in args.generators]
-    variety = smallest_variety(family)
-    return 0, _render_semigroup(monoid_hull(variety, args.elements), args.format)
+    return 0, _render_semigroup(_family_hull(family, args.elements), args.format)
 
 
 def _cmd_upper_sets(args) -> tuple[int, str]:
@@ -197,56 +189,27 @@ def _cmd_enumerate_all(args) -> tuple[int, str]:
 
 def _cmd_oracle_check(args) -> tuple[int, str]:
     bound = args.frobenius_bound
-    lines = []
-    failures = 0
-
     top = all_semigroups_up_to(bound)  # one 2^bound walk serves every smaller bound
     reports = {f: top.up_to(f) for f in range(1, bound + 1)}
-    tree_ok = sum(
-        1
-        for f in range(1, bound + 1)
-        if enumerate_tree(f, ALL_SEMIGROUPS).nodes == reports[f].semigroups
-    )
-    if tree_ok == bound:
-        lines.append(f"ok tree-vs-bruteforce: {bound}/{bound} bounds agree\n")
-    else:
-        failures += 1
-        lines.append(f"MISMATCH tree-vs-bruteforce: {tree_ok}/{bound} bounds agree\n")
+    tree_ok = sum(enumerate_tree(f).nodes == reports[f].semigroups for f in reports)
+    lines = [f"{'ok' if tree_ok == bound else 'MISMATCH'} tree-vs-bruteforce: "
+             f"{tree_ok}/{bound} bounds agree\n"]
 
-    small = [s for s in reports[bound].semigroups if s.frobenius <= bound // 2]
-    bad = [
-        (s, f)
-        for s in small
-        for f in range(1, bound + 1)
-        if [t for _, t in doubles_bounded(s, f)] != _doubles_in(reports[f], s)
-    ]
-    if not bad:
-        lines.append(
-            f"ok doubles-vs-bruteforce: {len(small)} semigroups x {bound} bounds agree\n"
-        )
-    else:
-        failures += 1
-        for s, f in bad:
-            lines.append(f"MISMATCH doubles-vs-bruteforce: S={s} F={f}\n")
+    small = [s for s in top.semigroups if s.frobenius <= bound // 2]
+    bad = [(s, f) for s in small for f in reports
+           if [t for _, t in doubles_bounded(s, f)] != _doubles_in(reports[f], s)]
+    lines += [f"MISMATCH doubles-vs-bruteforce: S={s} F={f}\n" for s, f in bad] or [
+        f"ok doubles-vs-bruteforce: {len(small)} semigroups x {bound} bounds agree\n"]
 
-    ext_cap = min(bound, 8)
-    candidates = [s for s in reports[bound].semigroups if s.frobenius <= ext_cap]
-    bad_ext = [
-        s
-        for s in candidates
-        if arithmetic_extensions(s).members != extension_oracle(s).members
-    ]
-    if not bad_ext:
-        lines.append(
-            f"ok extensions-vs-bruteforce: {len(candidates)} semigroups agree\n"
-        )
-    else:
-        failures += 1
-        for s in bad_ext:
-            lines.append(f"MISMATCH extensions-vs-bruteforce: S={s}\n")
+    candidates = [s for s in top.semigroups if s.frobenius <= min(bound, 8)]
+    bad_ext = [s for s in candidates
+               if arithmetic_extensions(s).members != extension_oracle(s).members]
+    lines += [f"MISMATCH extensions-vs-bruteforce: S={s}\n" for s in bad_ext] or [
+        f"ok extensions-vs-bruteforce: {len(candidates)} semigroups agree\n"]
 
-    lines.append("oracle-check: PASS\n" if not failures else "oracle-check: FAIL\n")
-    return (1 if failures else 0), "".join(lines)
+    failed = tree_ok != bound or bool(bad or bad_ext)
+    lines.append("oracle-check: FAIL\n" if failed else "oracle-check: PASS\n")
+    return int(failed), "".join(lines)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -52,10 +52,12 @@ def _bits(x: int) -> list[int]:
 def _every_nth_bits(x: int, divisors: Iterable[int]) -> list[int]:
     """For each d, the int whose bit k is bit k*d of ``x >= 0``.
 
-    One binary string serves every d; its slice by d costs bit_length / d.
+    One binary string serves every d; its slice by d, from the first
+    digit whose bit is a multiple of d, costs bit_length / d.
     """
-    digits = bin(x)[:1:-1]
-    return [int(digits[::d][::-1], 2) for d in divisors]
+    digits = bin(x)
+    top = len(digits) - 3  # digits[2 + top - i] is bit i
+    return [int(digits[2 + top % d::d], 2) for d in divisors]
 
 
 def _every_nth_bit(x: int, d: int) -> int:

@@ -25,7 +25,7 @@ frozensets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .core import DEFAULT_LIMIT, NumericalSemigroup, _bits, _is_closed, _mask_of, _members
 from .errors import BadM, InvalidCertificate, NotASemigroup, NotGapSubset, TooLarge
@@ -120,7 +120,9 @@ def _upper_masks(gaps: int, m: int, principals: list[int], base: int = 0) -> set
     """
     if (base << m) & gaps or not _sums_ok(gaps, m, base, base):
         return set()
-    valid = [c for c in principals if not (c << m) & gaps and _sums_ok(gaps, m, c, c)]
+    # a closure inside base adds nothing to any set that contains it
+    valid = [c for c in principals
+             if c & ~base and not (c << m) & gaps and _sums_ok(gaps, m, c, c)]
     found = {base}
     queue = [base]
     while queue:
@@ -184,10 +186,8 @@ def frobenius_of_double(
     return max(2 * s.frobenius, 2 * (outside.bit_length() - 1) + m)
 
 
-def doubles_bounded(
-    s: NumericalSemigroup, bound: int
-) -> list[tuple[DoubleLabel, NumericalSemigroup]]:
-    """All (label, T) with T/2 == s and Frobenius(T) <= bound.
+def _bounded_doubles(s: NumericalSemigroup, bound: int) -> Iterator[tuple[int, int, int]]:
+    """(m, h, gap mask of T) for every T with T/2 == s and Frobenius(T) <= bound.
 
     F(T) is at least 2*F(s), so there are none once that exceeds the
     bound.  Otherwise one loop runs over the odd members
@@ -196,28 +196,41 @@ def doubles_bounded(
     outside H, so H holds every gap from ``above`` = (bound - m)//2 + 1
     on, and the upper m-sets are walked up from those gaps.  From
     m = bound-1 on that is the whole gap set, an upper m-set exactly
-    when m > F(s); over the full set it gives the <2, m> family.  Each
-    T is built once, through the closure test of its gap mask.
+    when m > F(s); over the full set it gives the <2, m> family.  The
+    masks are not built into semigroups here; the input checks run on
+    the first step.
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
     if 2 * s.frobenius > bound:
-        return []
+        return
     if bound + 2 > DEFAULT_LIMIT:  # the moduli reach bound + 2, as in _check_modulus
         raise TooLarge(
             f"bound {bound} takes moduli up to {bound + 2}, above the limit {DEFAULT_LIMIT}"
         )
     gaps = s.gap_mask
     principals = _principal_closures(gaps)
-    results: list[tuple[DoubleLabel, NumericalSemigroup]] = []
+    even = _spread(gaps)
     for m in range(3, bound + 3, 2):
         if not s.contains(m):
             continue
         # the gaps from `above` on are absorption-closed, as a gap absorbs only larger ones
         above = (bound - m) // 2 + 1
+        low = even | _double_mask(0, m, 0)  # the odd numbers below m
         for h in _upper_masks(gaps, m, principals, gaps >> above << above):
-            t = NumericalSemigroup._from_mask(_double_mask(gaps, m, h))
-            results.append((DoubleLabel(m, frozenset(_bits(h))), t))
+            yield m, h, low | (_spread(gaps & ~h) << m)
+
+
+def doubles_bounded(
+    s: NumericalSemigroup, bound: int
+) -> list[tuple[DoubleLabel, NumericalSemigroup]]:
+    """All (label, T) with T/2 == s and Frobenius(T) <= bound, sorted by T.
+
+    The labelled view of :func:`_bounded_doubles`; each T is built
+    once, through the closure test of its gap mask.
+    """
+    results = [(DoubleLabel(m, frozenset(_bits(h))), NumericalSemigroup._from_mask(t))
+               for m, h, t in _bounded_doubles(s, bound)]
     results.sort(key=lambda pair: pair[1].min_generators)
     return results
 

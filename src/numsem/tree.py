@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .core import NATURALS, NumericalSemigroup, _every_nth_bit
-from .doubles import doubles_bounded
+from .doubles import _bounded_doubles, doubles_bounded
 from .errors import PredicateNotClosed, UnknownFormat
 
 
@@ -90,7 +90,10 @@ def enumerate_tree(
     """Breadth-first generation of every accepted semigroup under the bound.
 
     Starting from the full set, each node is expanded into its accepted
-    bounded doubles until none is left.  Completeness needs the
+    bounded doubles until none is left; each double is built from its
+    gap mask, and so closure-checked, once.  The nodes are then sorted
+    once, and filing them under their parents in that order leaves
+    every children list canonical.  Completeness needs the
     predicate to be quotient-closed (each node's halving chain must stay
     accepted), and nothing checks that: a predicate that is not closed
     silently loses the accepted descendants of every rejected node, so
@@ -104,17 +107,20 @@ def enumerate_tree(
     root = NATURALS
     if not predicate.accepts(root):
         raise PredicateNotClosed(f"{predicate.name} rejects {root}")
-    nodes = [root]
-    kids: dict[NumericalSemigroup, tuple[NumericalSemigroup, ...]] = {}
+    nodes, parents = [root], [root]
     for s in nodes:  # grows while it is walked; a double is found only under its half
-        kids[s] = tuple(children(s, bound, predicate))
-        nodes.extend(kids[s])
-    for p, cs in kids.items():
-        for t in cs:
-            if _every_nth_bit(t.gap_mask, 2) != p.gap_mask:  # the gap mask of t.halve()
-                raise PredicateNotClosed(f"{t} was found under {p}, not under its half")
-    nodes.sort(key=lambda s: s.min_generators)
-    return VarietyTree(bound, predicate.name, tuple(nodes), kids)
+        for _, _, mask in _bounded_doubles(s, bound):
+            t = NumericalSemigroup._from_mask(mask)
+            if predicate.accepts(t):
+                nodes.append(t)
+                parents.append(s)
+    found = sorted(zip(nodes, parents), key=lambda pair: pair[0].min_generators)
+    kids: dict[NumericalSemigroup, list[NumericalSemigroup]] = {t: [] for t, _ in found}
+    for t, p in found[1:]:  # the root <1> sorts first; the rest come in canonical order
+        if _every_nth_bit(t.gap_mask, 2) != p.gap_mask:  # the gap mask of t.halve()
+            raise PredicateNotClosed(f"{t} was found under {p}, not under its half")
+        kids[p].append(t)
+    return VarietyTree(bound, predicate.name, tuple(kids), {p: tuple(c) for p, c in kids.items()})
 
 
 def _json_array(items: list[str], pad: str) -> str:
@@ -127,10 +133,11 @@ def _json_array(items: list[str], pad: str) -> str:
 
 def _json_node(s: NumericalSemigroup) -> str:
     """``NumericalSemigroup.to_json_dict`` as laid out inside the tree's node list."""
-    p = "      "
+    p, sep = "      ", ",\n        "
+    gaps = f"[\n{p}  {sep.join(map(str, s.gaps))}\n{p}]" if s.gap_mask else "[]"
     return (
-        f'{{\n{p}"generators": {_json_array(list(map(str, s.min_generators)), p)},'
-        f'\n{p}"gaps": {_json_array(list(map(str, s.gaps)), p)},'
+        f'{{\n{p}"generators": [\n{p}  {sep.join(map(str, s.min_generators))}\n{p}],'
+        f'\n{p}"gaps": {gaps},'
         f'\n{p}"frobenius": {s.frobenius},\n{p}"genus": {s.genus},'
         f'\n{p}"multiplicity": {s.multiplicity},\n{p}"depth": {s.depth()}\n    }}'
     )
@@ -141,12 +148,12 @@ def _tree_json(tree: VarietyTree) -> str:
 
     The pure-Python encoder that ``indent`` selects costs more than the
     walk itself; the layout is fixed, so it is written here instead.
+    An edge's parent index is its position in ``nodes``.
     """
     index = {s: i for i, s in enumerate(tree.nodes)}
     nodes = _json_array([_json_node(s) for s in tree.nodes], "  ")
-    edges = _json_array(
-        [f"[\n      {index[p]},\n      {index[c]}\n    ]" for p, c in tree.edges], "  "
-    )
+    edges = _json_array([f"[\n      {i},\n      {index[c]}\n    ]"
+                         for i, p in enumerate(tree.nodes) for c in tree.children_of(p)], "  ")
     return f'{{\n  "nodes": {nodes},\n  "edges": {edges}\n}}\n'
 
 

@@ -154,3 +154,18 @@ def monoid_hull(
     if not containing:
         raise ValueError("no member contains the elements; the family lacks the full set")
     return reduce(NumericalSemigroup.intersect, containing)
+
+
+def _family_hull(
+    family: Iterable[NumericalSemigroup], elements: Iterable[int]
+) -> NumericalSemigroup:
+    """``monoid_hull(smallest_variety(family), elements)`` without building the variety.
+
+    A member of the variety contains the elements iff every quotient
+    it is an intersection of does, so the hull is the intersection (the
+    OR of the gap masks) of the quotients by gaps that contain them.
+    """
+    xs = set(elements)
+    quotients = (q for s in family for q in _every_nth_bits(s.gap_mask, s.gaps))
+    return NumericalSemigroup._from_mask(
+        reduce(int.__or__, (q for q in quotients if not any(q >> x & 1 for x in xs)), 0))

@@ -1,7 +1,7 @@
 import json
 import time
 
-from numsem import enumerate_tree
+from numsem import cli, enumerate_tree
 from numsem.cli import main
 
 VARIETY_GOLDEN = "<1>\n<2,3>\n<2,5>\n<3,4,5>\n<3,5,7>\n<4,5,6,7>\n<5,6,7,8,9>\n"
@@ -118,6 +118,13 @@ class TestGoldenOutputs:
 
     def test_hull(self, capsys):
         assert run(capsys, "hull", "5,7,9", "--elements", "6")[1] == "<5,6,7,8,9>\n"
+        assert run(capsys, "hull", "5,7,9", "--elements", "")[1] == "<5,7,9>\n"
+
+    def test_hull_skips_the_variety(self, capsys):
+        start = time.monotonic()
+        code, out, _ = run(capsys, "hull", "300,301", "--elements", "5")
+        assert (code, out) == (0, "<5,301>\n")
+        assert time.monotonic() - start < 10
 
     def test_enumerate_all(self, capsys):
         code, out, _ = run(capsys, "enumerate-all", "--frobenius-bound", "5")
@@ -182,6 +189,19 @@ class TestExitCodes:
         code, out, _ = run(capsys, "oracle-check", "--frobenius-bound", "12")
         assert code == 0
         assert out.endswith("oracle-check: PASS\n")
+
+    def test_oracle_check_reports_mismatches(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "doubles_bounded", lambda s, f: [])
+        code, out, _ = run(capsys, "oracle-check", "--frobenius-bound", "3")
+        assert (code, out) == (1, "ok tree-vs-bruteforce: 3/3 bounds agree\n" + "".join(
+            f"MISMATCH doubles-vs-bruteforce: S={s} F={f}\n"
+            for s, f in (("<1>", 1), ("<1>", 2), ("<1>", 3), ("<2,3>", 2), ("<2,3>", 3)))
+            + "ok extensions-vs-bruteforce: 5 semigroups agree\noracle-check: FAIL\n")
+        monkeypatch.undo()
+        monkeypatch.setattr(cli, "enumerate_tree", lambda f: enumerate_tree(1))
+        code, out, _ = run(capsys, "oracle-check", "--frobenius-bound", "3")
+        assert (code, out.splitlines()[0]) == (1, "MISMATCH tree-vs-bruteforce: 1/3 bounds agree")
+        assert out.endswith("oracle-check: FAIL\n")
 
 
 class TestWorkLimits:

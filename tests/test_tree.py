@@ -1,16 +1,19 @@
 import json
 import math
 import random
+import time
 from collections import Counter
 
 import pytest
 
+import numsem.doubles as doubles_module
 import numsem.tree as tree_module
 from numsem import (
     ALL_SEMIGROUPS,
     NATURALS,
     NumericalSemigroup,
     PredicateNotClosed,
+    TooLarge,
     UnknownFormat,
     VarietyPredicate,
     all_semigroups_up_to,
@@ -158,16 +161,46 @@ class TestEnumerate:
 
     def test_edge_check_fires(self, monkeypatch):
         # a child attached to a node that is not its half is refused
-        real = tree_module.doubles_bounded
+        real = tree_module._bounded_doubles
         stray = NS.from_generators([3, 4, 5])  # its half is <2,3>
 
         def with_stray(s, bound):
-            found = real(s, bound)
-            return found + [(None, stray)] if s == NATURALS else found
+            yield from real(s, bound)
+            if s == NATURALS:
+                yield None, None, stray.gap_mask
 
-        monkeypatch.setattr(tree_module, "doubles_bounded", with_stray)
+        monkeypatch.setattr(tree_module, "_bounded_doubles", with_stray)
         with pytest.raises(PredicateNotClosed):
             enumerate_tree(5)
+
+    def test_walk_builds_each_double_once_and_no_label(self, monkeypatch):
+        """One ``_from_mask`` per bounded double of an accepted node, no ``DoubleLabel``."""
+        real = NS._from_mask.__func__
+        built, labels = [], []
+
+        def counting(cls, mask):
+            built.append(mask)
+            return real(cls, mask)
+
+        preds = (ALL_SEMIGROUPS, *map(depth_predicate, range(4)))
+        for bound, pred in ((b, p) for b in range(1, 15) for p in preds):
+            built.clear()
+            with monkeypatch.context() as m:
+                m.setattr(NS, "_from_mask", classmethod(counting))
+                m.setattr(doubles_module, "DoubleLabel", lambda *a: labels.append(a))
+                tree = enumerate_tree(bound, pred)
+            assert labels == []
+            doubles = (t for p in tree.nodes for t in children(p, bound, ALL_SEMIGROUPS))
+            expected = sorted(t.gap_mask for t in doubles)
+            assert sorted(built) == expected, (bound, pred.name)
+            if pred is ALL_SEMIGROUPS:
+                assert len(built) == len(tree.nodes) - 1
+
+    def test_huge_bound_raises_too_large_quickly(self):
+        start = time.monotonic()
+        with pytest.raises(TooLarge):
+            enumerate_tree(100_000_000)
+        assert time.monotonic() - start < 10
 
     def test_bad_bound(self):
         with pytest.raises(ValueError):

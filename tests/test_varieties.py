@@ -15,6 +15,7 @@ from numsem import (
     smallest_variety,
 )
 
+from numsem.varieties import _family_hull
 from support import product_variety, random_semigroup
 
 NS = NumericalSemigroup
@@ -190,6 +191,17 @@ class TestMonoidHull:
     def test_negative_elements_rejected(self):
         with pytest.raises(ValueError):
             monoid_hull(arithmetic_extensions(NS.from_generators([2, 5])), [-1])
+
+    def test_family_hull_matches_the_variety(self):
+        """The hull from the generating quotients is the hull of the whole variety."""
+        rng = random.Random(11)
+        pool = all_semigroups_up_to(9).semigroups
+        for _ in range(60):
+            fam = rng.sample(pool, rng.randint(1, 3))
+            v = smallest_variety(fam)
+            draws = ([rng.randrange(12) for _ in range(rng.randint(1, 3))] for _ in range(4))
+            for xs in ([], *draws):
+                assert _family_hull(fam, xs) == monoid_hull(v, xs), ([str(s) for s in fam], xs)
 
     def test_hull_contains_elements_and_is_smallest(self):
         s = NS.from_generators([4, 5, 11])
