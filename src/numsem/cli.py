@@ -6,10 +6,7 @@ error (argparse).  ``--output PATH`` writes exactly the bytes that
 would have gone to stdout.
 """
 
-from __future__ import annotations
-
 import argparse
-import json
 import sys
 from typing import Callable
 
@@ -63,6 +60,7 @@ _nonnegative_int = _int_at_least(0, "nonnegative")
 
 
 def _json_text(obj) -> str:
+    import json  # here, not at the top: text and tree outputs never load it
     return json.dumps(obj, indent=2) + "\n"
 
 
@@ -296,13 +294,13 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         code, text = args.handler(args)
-    except SemigroupError as exc:
+        if args.output is not None:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+    except (SemigroupError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    if args.output is not None:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    if args.output is None:
         sys.stdout.write(text)
     return code
 

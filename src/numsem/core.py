@@ -21,8 +21,6 @@ the minimal generating system, which makes ``sorted(...)`` output
 canonical and byte-deterministic everywhere.
 """
 
-from __future__ import annotations
-
 import math
 from functools import total_ordering
 from typing import Iterable, NamedTuple
@@ -42,6 +40,38 @@ class Invariants(NamedTuple):
     multiplicity: int
     genus: int
     embedding_dimension: int
+
+
+class _Record:
+    """A frozen dataclass over ``_fields``, without the import time of ``dataclasses``."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self._fields
+        if len(args) + len(kwargs) != len(names) or not kwargs.keys() <= set(names[len(args):]):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)}")
+        for name, value in (*zip(names, args), *kwargs.items()):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        same = other.__class__ is self.__class__
+        return self.__reduce__() == other.__reduce__() if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__()[1])
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
 
 
 def _bits(x: int) -> list[int]:

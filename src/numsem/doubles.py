@@ -22,21 +22,16 @@ built straight from S's; the public functions take and return
 frozensets.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .core import DEFAULT_LIMIT, NumericalSemigroup, _bits, _is_closed, _mask_of, _members
+from .core import DEFAULT_LIMIT, NumericalSemigroup, _bits, _is_closed, _mask_of, _members, _Record
 from .errors import BadM, InvalidCertificate, NotASemigroup, NotGapSubset, TooLarge
 
 
-@dataclass(frozen=True)
-class DoubleLabel:
+class DoubleLabel(_Record):
     """The (m, H) pair naming one element of the doubles of a semigroup."""
 
-    m: int
-    upper_set: frozenset[int]
+    __slots__ = _fields = ("m", "upper_set")  # int, frozenset[int]
 
     def to_json_dict(self) -> dict:
         return {"m": self.m, "H": sorted(self.upper_set)}

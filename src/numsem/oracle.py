@@ -11,14 +11,11 @@ check over bounds 1..N walks once, at N, and filters that report by F
 once by their half's gap mask: the doubles of S are one lookup.
 """
 
-from __future__ import annotations
-
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .core import NATURALS, NumericalSemigroup, _every_nth_bit
+from .core import NATURALS, NumericalSemigroup, _every_nth_bit, _Record
 from .errors import BoundTooLarge, NotASemigroup
 from .varieties import VarietySet
 
@@ -26,13 +23,10 @@ from .varieties import VarietySet
 ENUMERATION_CAP = 20
 
 
-@dataclass(frozen=True)
-class EnumerationReport:
-    """Everything the gap-subset walk found for one bound."""
+class EnumerationReport(_Record):
+    """Everything the gap-subset walk found for one bound; unhashable, as it holds a dict."""
 
-    bound: int
-    semigroups: tuple[NumericalSemigroup, ...]
-    counts_by_frobenius: dict
+    _fields = ("bound", "semigroups", "counts_by_frobenius")  # no __slots__: see _by_half
 
     def to_json_dict(self) -> dict:
         return {

@@ -9,22 +9,15 @@ motivating instance; the predicate is pluggable so the brute-force
 oracle can drive the same walker.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
-from typing import Callable
-
-from .core import NATURALS, NumericalSemigroup, _every_nth_bit
+from .core import NATURALS, NumericalSemigroup, _every_nth_bit, _Record
 from .doubles import _bounded_doubles, doubles_bounded
 from .errors import PredicateNotClosed, UnknownFormat
 
 
-@dataclass(frozen=True)
-class VarietyPredicate:
+class VarietyPredicate(_Record):
     """Named membership test for a quotient-closed family."""
 
-    name: str
-    accepts: Callable[[NumericalSemigroup], bool]
+    __slots__ = _fields = ("name", "accepts")  # str, Callable[[NumericalSemigroup], bool]
 
 
 #: The family of all numerical semigroups.
@@ -45,18 +38,17 @@ def children(
     return [t for _, t in doubles_bounded(s, bound) if predicate.accepts(t)]
 
 
-@dataclass(frozen=True)
-class VarietyTree:
+class VarietyTree(_Record):
     """Finite rooted tree: canonical ``nodes`` and each node's children.
 
     The walk's map from a node to its children, in canonical order, is
     stored; ``edges`` is a view of it.  It is in ``==`` but not ``hash``.
     """
 
-    bound: int
-    predicate_name: str
-    nodes: tuple[NumericalSemigroup, ...]
-    _children: dict[NumericalSemigroup, tuple[NumericalSemigroup, ...]] = field(hash=False)
+    __slots__ = _fields = ("bound", "predicate_name", "nodes", "_children")
+
+    def __hash__(self) -> int:
+        return hash((self.bound, self.predicate_name, self.nodes))
 
     @property
     def edges(self) -> tuple[tuple[NumericalSemigroup, NumericalSemigroup], ...]:

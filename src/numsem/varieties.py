@@ -6,22 +6,18 @@ semigroups.  Both are finite and are materialized as :class:`VarietySet`
 values in canonical order.
 """
 
-from __future__ import annotations
-
 import itertools
-from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .core import NATURALS, NumericalSemigroup, _bits, _every_nth_bits
+from .core import NATURALS, NumericalSemigroup, _bits, _every_nth_bits, _Record
 from .errors import IsNaturals
 
 
-@dataclass(frozen=True)
-class VarietySet:
+class VarietySet(_Record):
     """Finite, duplicate-free, canonically sorted family of semigroups."""
 
-    members: tuple[NumericalSemigroup, ...]
+    __slots__ = _fields = ("members",)  # tuple[NumericalSemigroup, ...]
 
     @classmethod
     def of(cls, items: Iterable[NumericalSemigroup]) -> "VarietySet":

@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import numsem
 from numsem import cli, enumerate_tree
 from numsem.cli import main
 
@@ -159,6 +164,19 @@ class TestDeterminismAndOutput:
         assert out == ""
         assert target.read_text() == stdout_text
 
+    def test_output_to_a_missing_directory_is_one(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x"
+        code, out, err = run(capsys, "info", "3,5", "--output", str(target))
+        assert (code, out) == (1, "")
+        assert err == f"error: FileNotFoundError: [Errno 2] No such file or directory: '{target}'\n"
+        assert not target.parent.exists()
+
+    def test_output_to_a_directory_is_one(self, capsys, tmp_path):
+        code, out, err = run(capsys, "info", "3,5", "--output", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err == f"error: IsADirectoryError: [Errno 21] Is a directory: '{tmp_path}'\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestExitCodes:
     def test_domain_error_is_one(self, capsys):
@@ -251,3 +269,19 @@ class TestWorkLimits:
         assert code == 0
         assert out.startswith("<300,301> F=89699 m=300 g=44850 e=2 depth=299 gaps=1,2,3,")
         assert time.monotonic() - start < 10
+
+
+class TestStartup:
+    def test_cli_import_leaves_out_dataclasses_and_json(self):
+        """Importing the CLI loads none of these beyond what a bare interpreter loads."""
+        listing = "import sys; print(' '.join(sorted(sys.modules)))"
+        env = {**os.environ, "PYTHONPATH": str(Path(numsem.__file__).parents[1])}
+
+        def loaded(code: str) -> set[str]:
+            done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                  capture_output=True, text=True, timeout=60)
+            return set(done.stdout.split())
+
+        added = loaded("import numsem.cli; " + listing) - loaded(listing)
+        assert "numsem.cli" in added
+        assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize", "json"}
