@@ -3,6 +3,12 @@
 Quotients, arithmetic extensions, smallest closed families, bounded
 enumeration of doubles, depth-bounded tree generation, and an
 exhaustive brute-force oracle cross-validating all of it.
+
+API changes in 0.2.0, one spelling per operation: ``from_gaps(g)`` is
+``NumericalSemigroup(g)``, ``naturals()`` is ``NATURALS``, ``halve(s)`` and
+``s.halve()`` are ``s.quotient(2)``, ``children(s, b, p)`` is
+``enumerate_tree(b, p).children_of(s)``; ``doubles_oracle`` and
+``VarietySet.is_intersection_closed``/``is_quotient_closed`` are gone.
 """
 
 from .core import (
@@ -17,7 +23,6 @@ from .doubles import (
     build_double,
     doubles_bounded,
     frobenius_of_double,
-    halve,
     is_upper_m_set,
     upper_m_sets,
 )
@@ -39,14 +44,12 @@ from .oracle import (
     ENUMERATION_CAP,
     EnumerationReport,
     all_semigroups_up_to,
-    doubles_oracle,
     extension_oracle,
 )
 from .tree import (
     ALL_SEMIGROUPS,
     VarietyPredicate,
     VarietyTree,
-    children,
     depth_predicate,
     enumerate_tree,
     export_tree,
@@ -61,4 +64,4 @@ from .varieties import (
     smallest_variety,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

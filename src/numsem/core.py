@@ -168,12 +168,11 @@ class NumericalSemigroup:
         s._set_mask(mask)
         return s
 
-    # -- constructors -------------------------------------------------
+    def __reduce__(self) -> tuple:
+        # slots without __getstate__ pickle only from protocol 2; this also revalidates
+        return NumericalSemigroup._from_mask, (self._mask,)
 
-    @classmethod
-    def from_gaps(cls, gaps: Iterable[int]) -> "NumericalSemigroup":
-        """Build from an explicit gap set, validating additive closure."""
-        return cls(gaps)
+    # -- constructors -------------------------------------------------
 
     @classmethod
     def from_generators(
@@ -215,11 +214,6 @@ class NumericalSemigroup:
             if top >= limit:
                 raise TooLarge(f"conductor of {gens} exceeds the limit {limit}")
             top = min(2 * top, limit)
-
-    @classmethod
-    def naturals(cls) -> "NumericalSemigroup":
-        """The full set of nonnegative integers (empty gap set)."""
-        return NATURALS
 
     # -- membership and invariants ------------------------------------
 
@@ -308,9 +302,6 @@ class NumericalSemigroup:
         if d < 1:
             raise NonPositiveDivisor(f"divisor must be >= 1, got {d}")
         return NumericalSemigroup._from_mask(_every_nth_bit(self._mask, d))
-
-    def halve(self) -> "NumericalSemigroup":
-        return self.quotient(2)
 
     def intersect(self, other: "NumericalSemigroup") -> "NumericalSemigroup":
         """Set intersection; the gap set is the union of both gap sets."""

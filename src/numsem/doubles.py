@@ -228,8 +228,3 @@ def doubles_bounded(
                for m, h, t in _bounded_doubles(s, bound)]
     results.sort(key=lambda pair: pair[1].min_generators)
     return results
-
-
-def halve(s: NumericalSemigroup) -> NumericalSemigroup:
-    """Members whose double lies in ``s``; the parent of ``s`` in the tree."""
-    return s.quotient(2)

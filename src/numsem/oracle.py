@@ -40,8 +40,8 @@ class EnumerationReport(_Record):
 
     def up_to(self, bound: int) -> "EnumerationReport":
         """The report for a smaller bound: the semigroups with F <= bound, in order."""
-        if bound > self.bound:
-            raise ValueError(f"bound {bound} exceeds the report's bound {self.bound}")
+        if not 1 <= bound <= self.bound:
+            raise ValueError(f"bound must be in 1..{self.bound}, got {bound}")
         return _report(bound, [s for s in self.semigroups if s.frobenius <= bound])
 
     @cached_property
@@ -75,13 +75,6 @@ def all_semigroups_up_to(bound: int) -> EnumerationReport:
         if closed:
             found.append(NumericalSemigroup._from_mask(gap_bits))
     return _report(bound, sorted(found))
-
-
-def doubles_oracle(
-    s: NumericalSemigroup, bound: int
-) -> list[NumericalSemigroup]:
-    """Reference doubles: filter the exhaustive list by half-quotient."""
-    return _doubles_in(all_semigroups_up_to(bound), s)
 
 
 def _doubles_in(

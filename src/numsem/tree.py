@@ -10,7 +10,7 @@ oracle can drive the same walker.
 """
 
 from .core import NATURALS, NumericalSemigroup, _every_nth_bit, _Record
-from .doubles import _bounded_doubles, doubles_bounded
+from .doubles import _bounded_doubles
 from .errors import PredicateNotClosed, UnknownFormat
 
 
@@ -29,13 +29,6 @@ def depth_predicate(q: int) -> VarietyPredicate:
     if q < 0:
         raise ValueError(f"depth must be >= 0, got {q}")
     return VarietyPredicate(f"depth<={q}", lambda s: s.depth() <= q)
-
-
-def children(
-    s: NumericalSemigroup, bound: int, predicate: VarietyPredicate
-) -> list[NumericalSemigroup]:
-    """Accepted bounded doubles of ``s``; neither ``s`` nor the root is a double."""
-    return [t for _, t in doubles_bounded(s, bound) if predicate.accepts(t)]
 
 
 class VarietyTree(_Record):
@@ -109,7 +102,7 @@ def enumerate_tree(
     found = sorted(zip(nodes, parents), key=lambda pair: pair[0].min_generators)
     kids: dict[NumericalSemigroup, list[NumericalSemigroup]] = {t: [] for t, _ in found}
     for t, p in found[1:]:  # the root <1> sorts first; the rest come in canonical order
-        if _every_nth_bit(t.gap_mask, 2) != p.gap_mask:  # the gap mask of t.halve()
+        if _every_nth_bit(t.gap_mask, 2) != p.gap_mask:  # the gap mask of t.quotient(2)
             raise PredicateNotClosed(f"{t} was found under {p}, not under its half")
         kids[p].append(t)
     return VarietyTree(bound, predicate.name, tuple(kids), {p: tuple(c) for p, c in kids.items()})

@@ -6,7 +6,6 @@ semigroups.  Both are finite and are materialized as :class:`VarietySet`
 values in canonical order.
 """
 
-import itertools
 from functools import reduce
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -34,21 +33,6 @@ class VarietySet(_Record):
 
     def to_json_dict(self) -> dict:
         return {"members": [s.to_json_dict() for s in self.members]}
-
-    def is_intersection_closed(self) -> bool:
-        pool = set(self.members)
-        return all(
-            a.intersect(b) in pool
-            for a, b in itertools.combinations_with_replacement(self.members, 2)
-        )
-
-    def is_quotient_closed(self, max_divisor: int) -> bool:
-        pool = set(self.members)
-        return all(
-            s.quotient(d) in pool
-            for s in self.members
-            for d in range(1, max_divisor + 1)
-        )
 
 
 class ExtremalElements(NamedTuple):
@@ -102,36 +86,22 @@ def smallest_variety(family: Sequence[NumericalSemigroup]) -> VarietySet:
     return VarietySet.of(members.values())
 
 
-def _max_by_inclusion(items: Sequence[NumericalSemigroup]) -> NumericalSemigroup:
-    for t in items:
-        if all(u.is_subset_of(t) for u in items):
-            return t
-    raise RuntimeError("family has no maximum under inclusion")
-
-
-def _min_by_inclusion(items: Sequence[NumericalSemigroup]) -> NumericalSemigroup:
-    for t in items:
-        if all(t.is_subset_of(u) for u in items):
-            return t
-    raise RuntimeError("family has no minimum under inclusion")
-
-
 def extremal_elements(s: NumericalSemigroup) -> ExtremalElements:
     """Inclusion-wise extremes of the extension family of ``s``.
 
     Returns (maximum, minimum, maximum besides the full set, minimum
-    besides s itself); the last one equals s with its fundamental gaps
-    filled in.
+    besides s itself) from the definitions, without building the family:
+
+    - every member contains s and lies in the full set, and both are members;
+    - s/F(s) is the full set minus 1, as F(s)*x > F(s) for every x >= 2;
+    - every member but the full set intersects quotients s/d by gaps d, each missing 1;
+    - every member but s intersects quotients s/d with d >= 2 only, as s/1 is s;
+    - so it contains s/2 ∩ s/3 (2x and 3x in s put every kx in s), the member
+      that is s with its fundamental gaps filled in.
     """
     if s == NATURALS:
         raise IsNaturals("the full set has no proper extensions")
-    family = arithmetic_extensions(s).members
-    return ExtremalElements(
-        maximum=_max_by_inclusion(family),
-        minimum=_min_by_inclusion(family),
-        maximum_proper=_max_by_inclusion([t for t in family if t != NATURALS]),
-        minimum_proper=_min_by_inclusion([t for t in family if t != s]),
-    )
+    return ExtremalElements(NATURALS, s, s.quotient(s.frobenius), s.quotient(2) & s.quotient(3))
 
 
 def monoid_hull(

@@ -5,7 +5,9 @@ implementation under test: plain reachability instead of shifted
 member masks, power-set filtering instead of closure-lattice walking,
 pairwise sums instead of bit shifts, the generators instead of the
 double's gap mask, the product of extension sets instead of their intersection
-closure, and the classical removal tree instead of the tree of doubles.
+closure, the classical removal tree instead of the tree of doubles, the
+exhaustive list instead of the doubles walk, and inclusion scans of the
+whole extension family instead of its closed-form extremes.
 """
 
 import itertools
@@ -14,7 +16,13 @@ from functools import reduce
 
 from hypothesis import strategies as st
 
-from numsem import NATURALS, NumericalSemigroup, arithmetic_extensions
+from numsem import (
+    NATURALS,
+    NumericalSemigroup,
+    all_semigroups_up_to,
+    arithmetic_extensions,
+    doubles_bounded,
+)
 
 
 def closure_members(gens, bound):
@@ -88,6 +96,40 @@ def double_by_generators(s, m, upper_set):
     """The double encoded by (m, H), generated by 2*msg(S), m and 2H + m."""
     gens = [2 * a for a in s.min_generators] + [m] + [2 * x + m for x in upper_set]
     return NumericalSemigroup.from_generators(gens)
+
+
+def filtered_children(s, bound, predicate):
+    """Bounded doubles of ``s`` that the predicate accepts, built and then filtered."""
+    return [t for _, t in doubles_bounded(s, bound) if predicate.accepts(t)]
+
+
+def brute_force_doubles(s, bound):
+    """The semigroups other than ``s`` under the bound whose half is ``s``, by a full scan."""
+    return [t for t in all_semigroups_up_to(bound).semigroups if t.quotient(2) == s and t != s]
+
+
+def is_intersection_closed(family):
+    """Every pairwise intersection of members is a member."""
+    pool = set(family)
+    return all(a.intersect(b) in pool for a, b in itertools.combinations_with_replacement(pool, 2))
+
+
+def is_quotient_closed(family, max_divisor):
+    """Every quotient of a member by 1..max_divisor is a member."""
+    pool = set(family)
+    return all(s.quotient(d) in pool for s in pool for d in range(1, max_divisor + 1))
+
+
+def max_by_inclusion(items):
+    """The member that contains every member, by pairwise inclusion tests."""
+    (top,) = [t for t in items if all(u.is_subset_of(t) for u in items)]
+    return top
+
+
+def min_by_inclusion(items):
+    """The member that every member contains, by pairwise inclusion tests."""
+    (bottom,) = [t for t in items if all(t.is_subset_of(u) for u in items)]
+    return bottom
 
 
 def product_variety(family):

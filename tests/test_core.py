@@ -96,18 +96,18 @@ def test_from_generators_matches_reachability(gens):
 
 class TestFromGaps:
     def test_empty_gap_set_is_naturals(self):
-        assert NS.from_gaps([]) == NATURALS
+        assert NS([]) == NATURALS
 
     def test_known_gap_set(self):
-        assert NS.from_gaps([1, 2, 4, 5]).min_generators == (3, 7, 8)
+        assert NS([1, 2, 4, 5]).min_generators == (3, 7, 8)
 
     def test_not_closed_rejected(self):
         with pytest.raises(NotASemigroup):
-            NS.from_gaps({2})  # 1 + 1 = 2 would be a gap
+            NS({2})  # 1 + 1 = 2 would be a gap
 
     def test_nonpositive_gap_rejected(self):
         with pytest.raises(NotASemigroup):
-            NS.from_gaps({0, 1})
+            NS({0, 1})
 
 
 class TestMembership:
@@ -188,7 +188,7 @@ class TestDepth:
     def test_values(self):
         assert NATURALS.depth() == 0
         assert NS.from_generators([2, 7]).depth() == 3
-        assert NS.from_gaps([1, 2, 4, 5]).depth() == 2
+        assert NS([1, 2, 4, 5]).depth() == 2
 
 
 class TestProportionallyModular:
@@ -217,7 +217,7 @@ class TestProportionallyModular:
 
 class TestOrderingAndRendering:
     def test_equal(self):
-        assert NS.from_generators([2, 5]) == NS.from_gaps([1, 3])
+        assert NS.from_generators([2, 5]) == NS([1, 3])
 
     def test_canonical_order(self):
         a, b, c = NATURALS, NS.from_generators([2, 3]), NS.from_generators([2, 5])
@@ -239,7 +239,7 @@ class TestOrderingAndRendering:
         }
 
     def test_hashable_and_usable_in_sets(self):
-        assert len({NS.from_generators([2, 5]), NS.from_gaps([1, 3])}) == 1
+        assert len({NS.from_generators([2, 5]), NS([1, 3])}) == 1
 
 
 # -- randomized properties ---------------------------------------------
@@ -247,7 +247,7 @@ class TestOrderingAndRendering:
 
 @given(semigroups())
 def test_round_trip_through_gaps(s):
-    assert NS.from_gaps(s.gaps) == s
+    assert NS(s.gaps) == s
 
 
 @given(semigroups(), st.integers(1, 10), st.integers(1, 10))

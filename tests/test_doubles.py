@@ -15,15 +15,19 @@ from numsem import (
     TooLarge,
     build_double,
     doubles_bounded,
-    doubles_oracle,
     frobenius_of_double,
-    halve,
     is_upper_m_set,
     upper_m_sets,
     all_semigroups_up_to,
 )
 from numsem import core, doubles
-from support import double_by_generators, naive_is_upper_set, naive_upper_sets, semigroups
+from support import (
+    brute_force_doubles,
+    double_by_generators,
+    naive_is_upper_set,
+    naive_upper_sets,
+    semigroups,
+)
 
 NS = NumericalSemigroup
 
@@ -159,7 +163,7 @@ class TestBuildDouble:
 
     def test_halving_returns_base(self):
         for (m, h) in WORKED_DOUBLES:
-            assert halve(build_double(S4511, m, h)) == S4511
+            assert build_double(S4511, m, h).quotient(2) == S4511
 
     def test_empty_upper_set(self):
         assert build_double(NS.from_generators([2, 3]), 3, ()) == NS.from_generators([3, 4])
@@ -264,7 +268,7 @@ class TestDoublesBounded:
     def test_soundness(self):
         for bound in (8, 11, 15):
             for label, t in doubles_bounded(S4511, bound):
-                assert halve(t) == S4511
+                assert t.quotient(2) == S4511
                 assert t.frobenius <= bound
 
     def test_completeness_against_oracle(self):
@@ -272,7 +276,7 @@ class TestDoublesBounded:
         for s in pool:
             for bound in range(1, 9):
                 got = [t for _, t in doubles_bounded(s, bound)]
-                assert got == doubles_oracle(s, bound), (str(s), bound)
+                assert got == brute_force_doubles(s, bound), (str(s), bound)
 
     def test_output_sorted_canonically(self):
         got = [t for _, t in doubles_bounded(S4511, 15)]
@@ -316,9 +320,9 @@ class TestDoublesBounded:
 
 class TestHalve:
     def test_examples(self):
-        assert halve(NS.from_generators([2, 3])) == NATURALS
-        assert halve(NS.from_generators([5, 8, 11, 17])) == S4511
-        assert halve(NATURALS) == NATURALS
+        assert NS.from_generators([2, 3]).quotient(2) == NATURALS
+        assert NS.from_generators([5, 8, 11, 17]).quotient(2) == S4511
+        assert NATURALS.quotient(2) == NATURALS
 
 
 class TestDoubleLabel:

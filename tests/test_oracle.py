@@ -19,9 +19,7 @@ from numsem import (
     NumericalSemigroup,
     all_semigroups_up_to,
     arithmetic_extensions,
-    doubles_oracle,
     extension_oracle,
-    halve,
 )
 import numsem.cli as cli_module
 from numsem.cli import main
@@ -51,7 +49,7 @@ class TestAllSemigroupsUpTo:
     def test_every_result_really_is_a_semigroup(self):
         # constructor revalidates closure; surviving construction is the check
         for s in all_semigroups_up_to(8).semigroups:
-            assert NS.from_gaps(s.gaps) == s
+            assert NS(s.gaps) == s
 
     def test_cap(self):
         with pytest.raises(BoundTooLarge):
@@ -81,20 +79,20 @@ class TestFrozenFixture:
 
 class TestDoublesOracle:
     def test_worked_example_count(self):
-        assert len(doubles_oracle(NS.from_generators([4, 5, 11]), 15)) == 18
+        assert len(_doubles_in(all_semigroups_up_to(15), NS.from_generators([4, 5, 11]))) == 18
 
     def test_tight_bound(self):
-        assert doubles_oracle(NS.from_generators([4, 5, 11]), 13) == []
+        assert _doubles_in(all_semigroups_up_to(13), NS.from_generators([4, 5, 11])) == []
 
     def test_naturals(self):
-        got = doubles_oracle(NATURALS, 5)
+        got = _doubles_in(all_semigroups_up_to(5), NATURALS)
         assert got == [NS.from_generators([2, 3]), NS.from_generators([2, 5]), NS.from_generators([2, 7])]
         assert NATURALS not in got
 
     def test_results_halve_back(self):
         s = NS.from_generators([3, 4, 5])
-        for t in doubles_oracle(s, 10):
-            assert halve(t) == s
+        for t in _doubles_in(all_semigroups_up_to(10), s):
+            assert t.quotient(2) == s
 
 
 class TestOneWalkAndHalfIndex:
@@ -103,7 +101,7 @@ class TestOneWalkAndHalfIndex:
         for bound in range(1, 13):
             report = all_semigroups_up_to(bound)
             for s in small:
-                want = [t for t in report.semigroups if t.halve() == s and t != s]
+                want = [t for t in report.semigroups if t.quotient(2) == s and t != s]
                 assert _doubles_in(report, s) == want, (str(s), bound)
 
     def test_smaller_bounds_filter_one_walk(self):
@@ -113,6 +111,12 @@ class TestOneWalkAndHalfIndex:
             assert top.up_to(f) == all_semigroups_up_to(f)
         with pytest.raises(ValueError):
             top.up_to(13)
+
+    def test_up_to_refuses_a_bound_below_one(self):
+        report = all_semigroups_up_to(5)
+        for bound in (0, -3):
+            with pytest.raises(ValueError):
+                report.up_to(bound)
 
     def test_oracle_check_walks_once(self, monkeypatch, capsys):
         bounds = []

@@ -8,6 +8,7 @@ import pytest
 from numsem import (
     DoubleLabel,
     EnumerationReport,
+    NotASemigroup,
     NumericalSemigroup,
     VarietyPredicate,
     VarietySet,
@@ -121,12 +122,19 @@ def test_repr_names_every_field(cls, names, values, other):
 @pytest.mark.parametrize("cls, names, values, other", RECORDS, ids=IDS)
 def test_pickle_and_deepcopy_round_trips(cls, names, values, other):
     record = cls(*values)
-    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):  # a semigroup has slots, so 2 up
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         restored = pickle.loads(pickle.dumps(record, protocol))
         assert type(restored) is cls
         assert restored == record
     assert copy.deepcopy(record) == record
     assert copy.copy(record) == record
+
+
+def test_semigroup_unpickling_revalidates_closure():
+    data = pickle.dumps(NS.from_generators([2, 5]), 0)  # holds the gap mask 0b1010 as text
+    assert b"I10\n" in data
+    with pytest.raises(NotASemigroup):
+        pickle.loads(data.replace(b"I10\n", b"I4\n"))  # the gap set {2}: 1 + 1 = 2
 
 
 def test_report_index_is_built_once_and_survives_pickling():

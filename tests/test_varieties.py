@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -16,7 +17,14 @@ from numsem import (
 )
 
 from numsem.varieties import _family_hull
-from support import product_variety, random_semigroup
+from support import (
+    is_intersection_closed,
+    is_quotient_closed,
+    max_by_inclusion,
+    min_by_inclusion,
+    product_variety,
+    random_semigroup,
+)
 
 NS = NumericalSemigroup
 
@@ -40,8 +48,8 @@ class TestArithmeticExtensions:
     def test_closure_properties_for_all_small_semigroups(self):
         for s in all_semigroups_up_to(12).semigroups:
             v = arithmetic_extensions(s)
-            assert v.is_intersection_closed()
-            assert v.is_quotient_closed(s.frobenius + 1)
+            assert is_intersection_closed(v)
+            assert is_quotient_closed(v, s.frobenius + 1)
             assert NATURALS in v
             if s != NATURALS:
                 assert NS.from_generators([2, 3]) in v
@@ -167,14 +175,35 @@ class TestExtremalElements:
             extremal_elements(NATURALS)
 
     def test_closed_forms_for_all_small_semigroups(self):
-        """max = naturals, min = s, max-proper = <2,3>, min-proper = s + FG(s)."""
+        """max = naturals, min = s, max-proper = <2,3>, min-proper = s + FG(s).
+
+        Each is a member of the extension family and its extreme by inclusion.
+        """
         two_three = NS.from_generators([2, 3])
         for s in all_semigroups_up_to(10).semigroups:
             if s == NATURALS:
                 continue
             ext = extremal_elements(s)
-            filled = NS.from_gaps(set(s.gaps) - set(s.fundamental_gaps()))
+            filled = NS(set(s.gaps) - set(s.fundamental_gaps()))
             assert ext == (NATURALS, s, two_three, filled), str(s)
+            family = arithmetic_extensions(s).members
+            assert all(t in family for t in ext), str(s)
+            scanned = (
+                max_by_inclusion(family),
+                min_by_inclusion(family),
+                max_by_inclusion([t for t in family if t != NATURALS]),
+                min_by_inclusion([t for t in family if t != s]),
+            )
+            assert ext == scanned, str(s)
+
+    def test_large_semigroup_is_fast(self):
+        """The extremes of <100,101> (F = 9,899) need no walk of its extension family."""
+        start = time.monotonic()
+        ext = extremal_elements(NS.from_generators([100, 101]))
+        assert time.monotonic() - start < 1.0
+        assert ext.maximum_proper == NS.from_generators([2, 3])
+        assert ext.minimum_proper.gap_mask == ext.minimum.gap_mask & ~sum(
+            1 << g for g in ext.minimum.fundamental_gaps())
 
 
 class TestMonoidHull:
@@ -217,7 +246,7 @@ class TestMonoidHull:
 class TestVarietySet:
     def test_of_dedupes_and_sorts(self):
         a = NS.from_generators([2, 5])
-        got = VarietySet.of([a, NATURALS, NS.from_gaps([1, 3])])
+        got = VarietySet.of([a, NATURALS, NS([1, 3])])
         assert got.members == (NATURALS, a)
 
     def test_json(self):
