@@ -22,7 +22,9 @@ canonical and byte-deterministic everywhere.
 """
 
 import math
+import operator
 from functools import total_ordering
+from itertools import compress, count
 from typing import Iterable, NamedTuple
 
 from .errors import GcdNotOne, NonPositiveDivisor, NotASemigroup, TooLarge
@@ -74,9 +76,12 @@ class _Record:
     __delattr__ = __setattr__
 
 
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")  # binary digits to the bytes 0 and 1
+
+
 def _bits(x: int) -> list[int]:
-    """Positions of the set bits of ``x >= 0``, ascending."""
-    return [i for i, c in enumerate(bin(x)[:1:-1]) if c == "1"]
+    """Positions of the set bits of ``x >= 0``, ascending, selected by its digits in C."""
+    return list(compress(count(), bin(x)[:1:-1].encode().translate(_DIGIT_VALUES)))
 
 
 def _every_nth_bits(x: int, divisors: Iterable[int]) -> list[int]:
@@ -91,17 +96,28 @@ def _every_nth_bits(x: int, divisors: Iterable[int]) -> list[int]:
 
 
 def _every_nth_bit(x: int, d: int) -> int:
-    """Bit k of the result is bit k*d of ``x >= 0``."""
-    return _every_nth_bits(x, (d,))[0]
+    """Bit k of the result is bit k*d of ``x >= 0``, as in :func:`_every_nth_bits`."""
+    digits = bin(x)
+    return int(digits[2 + (len(digits) - 3) % d::d], 2)
+
+
+def _positive_ints(values: Iterable[int], error: type[Exception], what: str) -> set[int]:
+    """The distinct values by ``operator.index``, never truncated; ``error`` unless all positive."""
+    values = iter(values)  # a non-iterable raises TypeError
+    try:
+        found = set(map(operator.index, values))
+        if not found or min(found) >= 1:
+            return found
+    except TypeError:  # a value that is not an integer
+        pass
+    raise error(f"{what} must be positive integers")
 
 
 def _mask_of(gaps: Iterable[int]) -> int:
     """Gap mask of an iterable of positive integers."""
-    cleaned = {int(g) for g in gaps}
+    cleaned = _positive_ints(gaps, NotASemigroup, "gaps")
     if not cleaned:
         return 0
-    if min(cleaned) < 1:
-        raise NotASemigroup("gaps must be positive integers")
     top = max(cleaned)
     digits = bytearray(b"0") * (top + 1)
     for g in cleaned:
@@ -134,8 +150,11 @@ def _is_closed(mask: int, frobenius: int) -> bool:
     """
     members = _members(mask)
     m = _multiplicity(mask)
-    apery = members & ((1 << (frobenius // 2 + 1)) - 1) & ~(members << m)
-    return not any((members << a) & mask for a in [m, *_bits(apery)[1:]])
+    apery = members & ((1 << (frobenius // 2 + 1)) - 2) & ~(members << m)  # nonzero, <= F/2
+    for a in (m, *_bits(apery)):
+        if (members << a) & mask:
+            return False
+    return True
 
 
 @total_ordering
@@ -189,11 +208,9 @@ class NumericalSemigroup:
         :class:`TooLarge` when the window at ``limit`` is not enough,
         that is when F + m > ``limit``.
         """
-        gens = sorted({int(g) for g in generators})
+        gens = sorted(_positive_ints(generators, ValueError, "generators"))
         if not gens:
             raise ValueError("at least one generator is required")
-        if gens[0] < 1:
-            raise ValueError("generators must be positive integers")
         if math.gcd(*gens) != 1:
             raise GcdNotOne(
                 f"gcd of {gens} is {math.gcd(*gens)}; the complement would be infinite"
@@ -263,18 +280,21 @@ class NumericalSemigroup:
         and a member w + k*m with k >= 1 is m plus a member.  So the
         minimal generators are m and the nonzero Apery elements that
         are not another nonzero Apery element plus a nonzero member.
-        All Apery elements lie below F + m, so only those below F can
-        be the first term of such a sum.
+        One ascending pass decides each against the sums of those before
+        it; as all lie below F + m, only those below F start a sum.
         """
         if self._msg is None:
-            m = self.multiplicity
+            m = _multiplicity(self._mask)
             f = self._frobenius
             positive = ~self._mask & ((1 << (f + m + 1)) - 1) & ~1
-            apery = positive & ~((positive | 1) << m)  # nonzero Apery elements
+            msg = [m]
             sums = 0
-            for w in _bits(apery & ((1 << (f + 1)) - 1)):
-                sums |= positive << w
-            self._msg = (m, *_bits(apery & ~sums))
+            for w in _bits(positive & ~((positive | 1) << m)):  # nonzero Apery elements
+                if not (sums >> w) & 1:
+                    msg.append(w)
+                if w < f:
+                    sums |= positive << w
+            self._msg = tuple(msg)
         return self._msg
 
     @property

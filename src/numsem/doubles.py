@@ -62,16 +62,12 @@ def _double_mask(gaps: int, m: int, h: int) -> int:
     return _spread(gaps) | odd_below_m | (_spread(gaps & ~h) << m)
 
 
-def _sums_ok(gaps: int, m: int, left: int, right: int) -> bool:
-    # a + b + m is a member for every a in left and b in right
-    return not any((right << (a + m)) & gaps for a in _bits(left))
-
-
 def _label_mask(s: NumericalSemigroup, m: int, h: frozenset[int]) -> int:
     """Gap mask of the double labelled (m, h), once m and h pass the input checks."""
     _check_modulus(s, m)
-    if not h <= s.gap_set:
-        raise NotGapSubset(f"{sorted(h - s.gap_set)} are not gaps of {s}")
+    outside = h - s.gap_set | {x for x in h if not hasattr(x, "__index__")}  # 1.0 == 1
+    if outside:
+        raise NotGapSubset(f"{sorted(outside)} are not gaps of {s}")
     return _double_mask(s.gap_mask, m, _mask_of(h))
 
 
@@ -90,48 +86,54 @@ def is_upper_m_set(
     return _is_closed(t, t.bit_length() - 1)
 
 
-def _principal_closures(gaps: int) -> list[int]:
-    """Distinct absorption closures of the single gaps, as masks.
+def _principal_closures(gaps: int) -> list[tuple[int, int, int]]:
+    """(closure, partner mask, spread: bit i moved to 2i) of the absorption closure of each gap.
 
     The closure of a gap h is the set of gaps g with g - h a member:
     absorption is transitive (g' - g and g - h members make g' - h
-    one), so one shift of the member mask finds it.  No closure
-    depends on the modulus m.
+    one), so one shift of the member mask finds it.  The *partner mask*
+    of a set of gaps is the OR of ``gaps >> a`` over its elements a: bit
+    b is set iff a + b is a gap for some a.  For the closure of h it is
+    ``gaps >> h``, as h + s + b a gap with s a member makes h + b one.
     """
     members = _members(gaps)
-    return list(dict.fromkeys(gaps & (members << h) for h in _bits(gaps)))
+    return [(c, gaps >> h, _spread(c)) for h in _bits(gaps) for c in [gaps & (members << h)]]
 
 
-def _upper_masks(gaps: int, m: int, principals: list[int], base: int = 0) -> set[int]:
-    """All upper m-sets of the gap mask that contain ``base``, as masks.
+def _upper_masks(
+    gaps: int, m: int, principals: list[tuple[int, int, int]], base: int = 0, spread: int = 0
+) -> dict[int, tuple[int, int]]:
+    """Every upper m-set of the gap mask that contains ``base``, with its partner mask and spread.
 
-    ``base`` must be absorption-closed; unless it is an upper m-set
-    itself there are none.  Rather than filtering the power set of the
-    gaps, this walks the lattice of absorption-closed sets up from
-    ``base``: each valid set is ``base`` united with the closures of
-    its single elements, and a violation of the two sum conditions in
-    any subset persists in every superset, so failing unions can be
-    pruned on first sight.
+    The values are each set's partner mask shifted right by m (see
+    :func:`_principal_closures`) and its spread.  ``base``, of spread
+    ``spread``, must be absorption-closed with a + m > F for each element
+    a, so its shifted partner mask is 0.  The walk goes up the lattice
+    of absorption-closed sets from ``base``: each valid set is ``base``
+    united with closures of single gaps.  A set meets both sum
+    conditions iff it misses its own shifted partner mask (bit 0 is
+    h + m, and 0 is never a gap), and a violation persists in every
+    superset.  So the union of a valid set u and a valid closure p is
+    valid iff the new elements p - u miss u's partner mask, one AND, and
+    its partner mask is the OR of the two.
     """
-    if (base << m) & gaps or not _sums_ok(gaps, m, base, base):
-        return set()
-    # a closure inside base adds nothing to any set that contains it
-    valid = [c for c in principals
-             if c & ~base and not (c << m) & gaps and _sums_ok(gaps, m, c, c)]
-    found = {base}
+    valid = []
+    for c, fc, sc in principals:
+        fc >>= m
+        if c & ~base and not fc & (c | 1):  # a closure inside base adds nothing
+            valid.append((c, fc, sc))
+    found = {base: (0, spread)}
     queue = [base]
     while queue:
         u = queue.pop()
-        for p in valid:
+        fu, su = found[u]
+        for p, fp, sp in valid:
             new = p & ~u
-            if not new:
-                continue
-            w = u | p
-            if w in found:
-                continue
-            if _sums_ok(gaps, m, new, u):
-                found.add(w)
-                queue.append(w)
+            if new and not new & fu:
+                w = u | p
+                if w not in found:
+                    found[w] = fu | fp, su | sp
+                    queue.append(w)
     return found
 
 
@@ -145,7 +147,7 @@ def upper_m_sets(s: NumericalSemigroup, m: int) -> list[frozenset[int]]:
     _check_modulus(s, m)
     gaps = s.gap_mask
     found = _upper_masks(gaps, m, _principal_closures(gaps))
-    found.discard(0)
+    del found[0]
     return [frozenset(h) for h in sorted(map(_bits, found))]
 
 
@@ -181,39 +183,42 @@ def frobenius_of_double(
     return max(2 * s.frobenius, 2 * (outside.bit_length() - 1) + m)
 
 
-def _bounded_doubles(s: NumericalSemigroup, bound: int) -> Iterator[tuple[int, int, int]]:
-    """(m, h, gap mask of T) for every T with T/2 == s and Frobenius(T) <= bound.
+def _bounded_doubles(gaps: int, bound: int) -> Iterator[tuple[int, int, int]]:
+    """(m, h, gap mask of T) for every T with T/2 == S and F(T) <= bound, S given by ``gaps``.
 
-    F(T) is at least 2*F(s), so there are none once that exceeds the
+    F(T) is at least 2*F(S), so there are none once that exceeds the
     bound.  Otherwise one loop runs over the odd members
     3 <= m <= bound+2 (m = 1 is a member only of the full set, and
     gives it back).  F(T) <= bound iff 2x + m <= bound for every gap x
     outside H, so H holds every gap from ``above`` = (bound - m)//2 + 1
-    on, and the upper m-sets are walked up from those gaps.  From
-    m = bound-1 on that is the whole gap set, an upper m-set exactly
-    when m > F(s); over the full set it gives the <2, m> family.  The
-    masks are not built into semigroups here; the input checks run on
-    the first step.
+    on, and the upper m-sets are walked up from those gaps; each such
+    gap a has a + m > bound/2 >= F(S), as :func:`_upper_masks` asks.
+    From m = bound-1 on that is the whole gap set, an upper m-set
+    exactly when m > F(S); over the full set it gives the <2, m>
+    family.  T's odd gaps above m are 2x + m for the gaps x outside H:
+    the spread of ``gaps`` less that of H.  The masks are not built
+    into semigroups here; the input checks run on the first step.
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
-    if 2 * s.frobenius > bound:
+    if 2 * (gaps.bit_length() - 1) > bound:
         return
     if bound + 2 > DEFAULT_LIMIT:  # the moduli reach bound + 2, as in _check_modulus
         raise TooLarge(
             f"bound {bound} takes moduli up to {bound + 2}, above the limit {DEFAULT_LIMIT}"
         )
-    gaps = s.gap_mask
     principals = _principal_closures(gaps)
     even = _spread(gaps)
     for m in range(3, bound + 3, 2):
-        if not s.contains(m):
+        if (gaps >> m) & 1:
             continue
         # the gaps from `above` on are absorption-closed, as a gap absorbs only larger ones
         above = (bound - m) // 2 + 1
         low = even | _double_mask(0, m, 0)  # the odd numbers below m
-        for h in _upper_masks(gaps, m, principals, gaps >> above << above):
-            yield m, h, low | (_spread(gaps & ~h) << m)
+        found = _upper_masks(gaps, m, principals, gaps >> above << above,
+                             even >> 2 * above << 2 * above)
+        for h, (_, spread) in found.items():
+            yield m, h, low | ((even ^ spread) << m)
 
 
 def doubles_bounded(
@@ -225,6 +230,6 @@ def doubles_bounded(
     once, through the closure test of its gap mask.
     """
     results = [(DoubleLabel(m, frozenset(_bits(h))), NumericalSemigroup._from_mask(t))
-               for m, h, t in _bounded_doubles(s, bound)]
+               for m, h, t in _bounded_doubles(s.gap_mask, bound)]
     results.sort(key=lambda pair: pair[1].min_generators)
     return results

@@ -9,7 +9,7 @@ motivating instance; the predicate is pluggable so the brute-force
 oracle can drive the same walker.
 """
 
-from .core import NATURALS, NumericalSemigroup, _every_nth_bit, _Record
+from .core import NATURALS, NumericalSemigroup, _bits, _every_nth_bit, _Record
 from .doubles import _bounded_doubles
 from .errors import PredicateNotClosed, UnknownFormat
 
@@ -92,20 +92,24 @@ def enumerate_tree(
     root = NATURALS
     if not predicate.accepts(root):
         raise PredicateNotClosed(f"{predicate.name} rejects {root}")
-    nodes, parents = [root], [root]
-    for s in nodes:  # grows while it is walked; a double is found only under its half
-        for _, _, mask in _bounded_doubles(s, bound):
+    nodes, parents = [root], [0]
+    for i, s in enumerate(nodes):  # grows while it is walked; a double is found only under its half
+        if 2 * s.frobenius > bound:  # F(T) >= 2F(S): no doubles
+            continue
+        for _, _, mask in _bounded_doubles(s.gap_mask, bound):
             t = NumericalSemigroup._from_mask(mask)
             if predicate.accepts(t):
                 nodes.append(t)
-                parents.append(s)
-    found = sorted(zip(nodes, parents), key=lambda pair: pair[0].min_generators)
-    kids: dict[NumericalSemigroup, list[NumericalSemigroup]] = {t: [] for t, _ in found}
-    for t, p in found[1:]:  # the root <1> sorts first; the rest come in canonical order
+                parents.append(i)
+    order = sorted(range(len(nodes)), key=lambda i: nodes[i].min_generators)
+    kids: list[list[NumericalSemigroup]] = [[] for _ in nodes]
+    for i in order[1:]:  # the root <1> sorts first; the rest come in canonical order
+        t, p = nodes[i], nodes[parents[i]]
         if _every_nth_bit(t.gap_mask, 2) != p.gap_mask:  # the gap mask of t.quotient(2)
             raise PredicateNotClosed(f"{t} was found under {p}, not under its half")
-        kids[p].append(t)
-    return VarietyTree(bound, predicate.name, tuple(kids), {p: tuple(c) for p, c in kids.items()})
+        kids[parents[i]].append(t)
+    ordered = tuple(nodes[i] for i in order)
+    return VarietyTree(bound, predicate.name, ordered, {nodes[i]: tuple(kids[i]) for i in order})
 
 
 def _json_array(items: list[str], pad: str) -> str:
@@ -119,12 +123,13 @@ def _json_array(items: list[str], pad: str) -> str:
 def _json_node(s: NumericalSemigroup) -> str:
     """``NumericalSemigroup.to_json_dict`` as laid out inside the tree's node list."""
     p, sep = "      ", ",\n        "
-    gaps = f"[\n{p}  {sep.join(map(str, s.gaps))}\n{p}]" if s.gap_mask else "[]"
+    gaps, f, m = _bits(s.gap_mask), s.frobenius, s.multiplicity
+    listed = f"[\n{p}  {sep.join(map(str, gaps))}\n{p}]" if gaps else "[]"
     return (
         f'{{\n{p}"generators": [\n{p}  {sep.join(map(str, s.min_generators))}\n{p}],'
-        f'\n{p}"gaps": {gaps},'
-        f'\n{p}"frobenius": {s.frobenius},\n{p}"genus": {s.genus},'
-        f'\n{p}"multiplicity": {s.multiplicity},\n{p}"depth": {s.depth()}\n    }}'
+        f'\n{p}"gaps": {listed},'
+        f'\n{p}"frobenius": {f},\n{p}"genus": {len(gaps)},'
+        f'\n{p}"multiplicity": {m},\n{p}"depth": {-(-(f + 1) // m)}\n    }}'
     )
 
 

@@ -14,9 +14,10 @@ from numsem import (
     NotASemigroup,
     NumericalSemigroup,
     TooLarge,
+    all_semigroups_up_to,
     proportionally_modular,
 )
-from numsem.core import _is_closed
+from numsem.core import _bits, _is_closed
 from support import naive_gap_set, naive_is_closed, naive_min_generators, semigroups
 
 NS = NumericalSemigroup
@@ -59,6 +60,27 @@ class TestFromGenerators:
             NS.from_generators([])
         with pytest.raises(ValueError):
             NS.from_generators([0, 3])
+
+    @pytest.mark.parametrize("gens", [[2.5, 3], [2.0, 3], ["2", "3"], [2, 3, None]])
+    def test_non_integer_generators_rejected(self, gens):
+        # they used to be truncated: [2.5, 3] gave <2,3>
+        with pytest.raises(ValueError, match="positive integers"):
+            NS.from_generators(gens)
+
+    def test_integer_like_generators_accepted(self):
+        class Index:
+            def __init__(self, n):
+                self.n = n
+
+            def __index__(self):
+                return self.n
+
+        assert NS.from_generators([Index(2), Index(3), True]) == NS.from_generators([1])
+        assert NS.from_generators(map(Index, [4, 5, 11])).gaps == (1, 2, 3, 6, 7)
+
+    def test_non_iterable_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            NS.from_generators(5)
 
     def test_size_guard(self):
         with pytest.raises(TooLarge):
@@ -108,6 +130,16 @@ class TestFromGaps:
     def test_nonpositive_gap_rejected(self):
         with pytest.raises(NotASemigroup):
             NS({0, 1})
+
+    @pytest.mark.parametrize("gaps", [[1.9], [1.0], ["3", "1"], [1, 2, 3.5]])
+    def test_non_integer_gap_rejected(self, gaps):
+        # they used to be truncated: [1.9] gave the gap set {1}
+        with pytest.raises(NotASemigroup, match="positive integers"):
+            NS(gaps)
+
+    def test_non_iterable_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            NS(5)
 
 
 class TestMembership:
@@ -331,3 +363,14 @@ def test_is_closed_matches_pairwise_sums(mask):
 @given(semigroups(max_gen=30, max_count=5))
 def test_min_generators_match_pairwise_definition(s):
     assert s.min_generators == naive_min_generators(s)
+
+
+def test_min_generators_of_every_semigroup_up_to_frobenius_14():
+    report = all_semigroups_up_to(14)
+    for s in report.semigroups:
+        assert s.min_generators == naive_min_generators(s), s.gaps
+
+
+def test_bits_of_large_and_sparse_masks():
+    for x in (0, 1, 2, 5, 1 << 200, (1 << 300) - 1, (1 << 1000) | (1 << 7) | 1):
+        assert _bits(x) == [i for i in range(x.bit_length()) if (x >> i) & 1]

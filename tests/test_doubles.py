@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 
 import pytest
 from hypothesis import given, settings
@@ -20,9 +22,8 @@ from numsem import (
     upper_m_sets,
     all_semigroups_up_to,
 )
-from numsem import core, doubles
+from numsem import core, doubles, oracle
 from support import (
-    brute_force_doubles,
     double_by_generators,
     naive_is_upper_set,
     naive_upper_sets,
@@ -83,6 +84,13 @@ class TestIsUpperMSet:
     def test_nongap_elements_rejected(self):
         with pytest.raises(NotGapSubset):
             is_upper_m_set(S4511, 5, {4, 6})
+
+    def test_non_integer_elements_are_not_gaps(self):
+        for candidate in ({1.0, 6, 7}, {"6", 7}):
+            with pytest.raises(NotGapSubset):
+                is_upper_m_set(S4511, 9, candidate)
+            with pytest.raises(InvalidCertificate, match="not gaps"):
+                build_double(S4511, 9, candidate)
 
     def test_matches_the_three_conditions_on_every_gap_subset(self):
         """The closure test of the double decides exactly the definition, failures included."""
@@ -272,11 +280,13 @@ class TestDoublesBounded:
                 assert t.frobenius <= bound
 
     def test_completeness_against_oracle(self):
-        pool = [s for s in all_semigroups_up_to(8).semigroups if s.frobenius <= 4]
-        for s in pool:
-            for bound in range(1, 9):
+        """Parents with F <= 8 at bounds to 16: nonempty bases and their partner masks."""
+        report = all_semigroups_up_to(16)
+        for s in (s for s in report.semigroups if s.frobenius <= 8):
+            expected = oracle._doubles_in(report, s)
+            for bound in range(1, 17):
                 got = [t for _, t in doubles_bounded(s, bound)]
-                assert got == brute_force_doubles(s, bound), (str(s), bound)
+                assert got == [t for t in expected if t.frobenius <= bound], (str(s), bound)
 
     def test_output_sorted_canonically(self):
         got = [t for _, t in doubles_bounded(S4511, 15)]
@@ -341,3 +351,25 @@ def test_double_mask_matches_generator_route(s, data):
     )
     h = data.draw(st.sampled_from(upper_m_sets(s, m) + [frozenset()]))
     assert build_double(s, m, h) == double_by_generators(s, m, h)
+
+
+def test_partner_masks_and_spreads_match_their_sets():
+    """What ``_upper_masks`` carries for each set, recomputed from its elements.
+
+    The bases are those of the bounded doubles: the gaps from some point
+    on, each gap a of them with a + m above the Frobenius number.
+    """
+    for s in (s for s in all_semigroups_up_to(12).semigroups if s.genus <= 8):
+        gaps, f = s.gap_mask, s.frobenius
+        principals = doubles._principal_closures(gaps)
+        for m in (m for m in range(3, 2 * f + 5, 2) if s.contains(m)):
+            upper = [core._mask_of(h) for h in naive_upper_sets(s, m, include_empty=True)]
+            for above in range(max(f - m + 1, 1), f + 2):
+                base = gaps >> above << above
+                found = doubles._upper_masks(gaps, m, principals, base, doubles._spread(base))
+                assert set(found) == {h for h in upper if h & base == base}, (str(s), m, above)
+                for h, (partner, spread) in found.items():
+                    elements = core._bits(h)
+                    assert partner == functools.reduce(
+                        operator.or_, (gaps >> (a + m) for a in elements), 0)
+                    assert spread == sum(1 << 2 * a for a in elements)

@@ -162,9 +162,9 @@ class TestEnumerate:
         real = tree_module._bounded_doubles
         stray = NS.from_generators([3, 4, 5])  # its half is <2,3>
 
-        def with_stray(s, bound):
-            yield from real(s, bound)
-            if s == NATURALS:
+        def with_stray(gaps, bound):
+            yield from real(gaps, bound)
+            if gaps == NATURALS.gap_mask:
                 yield None, None, stray.gap_mask
 
         monkeypatch.setattr(tree_module, "_bounded_doubles", with_stray)
