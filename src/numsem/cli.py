@@ -3,18 +3,20 @@
 Output is byte-deterministic for fixed inputs.  Exit codes: 0 success,
 1 domain error (the error class name is printed to stderr), 2 usage
 error (argparse).  ``--output PATH`` writes exactly the bytes that
-would have gone to stdout.
+would have gone to stdout, and ``tree`` writes them as it renders them.
+A failed write, to either, is a domain error.
 """
 
 import argparse
+import os
 import sys
-from typing import Callable
+from typing import Callable, Iterator
 
 from .core import NumericalSemigroup, proportionally_modular
 from .doubles import DoubleLabel, build_double, doubles_bounded, upper_m_sets
 from .errors import SemigroupError
 from .oracle import _doubles_in, all_semigroups_up_to, extension_oracle
-from .tree import ALL_SEMIGROUPS, depth_predicate, enumerate_tree, export_tree
+from .tree import ALL_SEMIGROUPS, _tree_pieces, depth_predicate, enumerate_tree
 from .varieties import _family_hull, arithmetic_extensions, is_arithmetic_extension, smallest_variety
 
 
@@ -92,7 +94,7 @@ def _double_json(label: DoubleLabel, t: NumericalSemigroup) -> dict:
     return {**label.to_json_dict(), "semigroup": t.to_json_dict()}
 
 
-# -- verb handlers: each returns (exit_code, output_text) --------------
+# -- verb handlers: each returns (exit_code, output text or its pieces) --
 
 
 def _cmd_info(args) -> tuple[int, str]:
@@ -173,9 +175,9 @@ def _cmd_doubles(args) -> tuple[int, str]:
     return 0, "".join(_double_line(label, t) for label, t in results)
 
 
-def _cmd_tree(args) -> tuple[int, str]:
+def _cmd_tree(args) -> tuple[int, Iterator[str]]:
     predicate = ALL_SEMIGROUPS if args.depth is None else depth_predicate(args.depth)
-    return 0, export_tree(enumerate_tree(args.frobenius_bound, predicate), args.format)
+    return 0, _tree_pieces(enumerate_tree(args.frobenius_bound, predicate), args.format)
 
 
 def _cmd_enumerate_all(args) -> tuple[int, str]:
@@ -294,14 +296,18 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         code, text = args.handler(args)
+        pieces = (text,) if isinstance(text, str) else text
         if args.output is not None:
             with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
+        else:
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
     except (SemigroupError, OSError) as exc:
+        if args.output is None and isinstance(exc, OSError):  # quiet the flush at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    if args.output is None:
-        sys.stdout.write(text)
     return code
 
 

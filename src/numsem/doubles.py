@@ -67,7 +67,8 @@ def _label_mask(s: NumericalSemigroup, m: int, h: frozenset[int]) -> int:
     _check_modulus(s, m)
     outside = h - s.gap_set | {x for x in h if not hasattr(x, "__index__")}  # 1.0 == 1
     if outside:
-        raise NotGapSubset(f"{sorted(outside)} are not gaps of {s}")
+        listed = sorted(outside, key=lambda x: (0, x) if isinstance(x, int) else (1, repr(x)))
+        raise NotGapSubset(f"{listed} are not gaps of {s}")
     return _double_mask(s.gap_mask, m, _mask_of(h))
 
 

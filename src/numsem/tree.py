@@ -9,7 +9,10 @@ motivating instance; the predicate is pluggable so the brute-force
 oracle can drive the same walker.
 """
 
-from .core import NATURALS, NumericalSemigroup, _bits, _every_nth_bit, _Record
+from itertools import compress
+from typing import Iterable, Iterator
+
+from .core import _DIGIT_VALUES, NATURALS, NumericalSemigroup, _every_nth_bit, _Record
 from .doubles import _bounded_doubles
 from .errors import PredicateNotClosed, UnknownFormat
 
@@ -61,13 +64,6 @@ class VarietyTree(_Record):
             "edges": [[index[p], index[c]] for p, c in self.edges],
         }
 
-    def to_dot(self) -> str:
-        lines = ["digraph variety_tree {"]
-        lines.extend(f'  "{s}";' for s in self.nodes)
-        lines.extend(f'  "{p}" -> "{c}";' for p, c in self.edges)
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
 
 def enumerate_tree(
     bound: int, predicate: VarietyPredicate = ALL_SEMIGROUPS
@@ -112,28 +108,35 @@ def enumerate_tree(
     return VarietyTree(bound, predicate.name, ordered, {nodes[i]: tuple(kids[i]) for i in order})
 
 
-def _json_array(items: list[str], pad: str) -> str:
-    """Rendered items as a JSON array laid out like ``json.dumps(..., indent=2)`` at ``pad``."""
-    if not items:
-        return "[]"
-    inner = pad + "  "
-    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+def _json_array(items: Iterable[str], pad: str) -> Iterator[str]:
+    """A JSON array of ``items`` in pieces, laid out as ``json.dumps(..., indent=2)`` at ``pad``."""
+    head = "[\n" + pad + "  "
+    for item in items:
+        yield head + item
+        head = ",\n" + pad + "  "
+    yield "[]" if head[0] == "[" else "\n" + pad + "]"
 
 
-def _json_node(s: NumericalSemigroup) -> str:
-    """``NumericalSemigroup.to_json_dict`` as laid out inside the tree's node list."""
+def _name(s: NumericalSemigroup, num: list[str]) -> str:
+    """``str(s)``, its generators looked up in the number table."""
+    return "<" + ",".join(map(num.__getitem__, s.min_generators)) + ">"
+
+
+def _json_node(s: NumericalSemigroup, num: list[str]) -> str:
+    """``NumericalSemigroup.to_json_dict`` inside the node list; the mask's digits pick the gaps."""
     p, sep = "      ", ",\n        "
-    gaps, f, m = _bits(s.gap_mask), s.frobenius, s.multiplicity
-    listed = f"[\n{p}  {sep.join(map(str, gaps))}\n{p}]" if gaps else "[]"
+    digits = bin(s.gap_mask)[:1:-1].encode().translate(_DIGIT_VALUES)  # as in core._bits
+    f, m = s.frobenius, s.multiplicity
+    gaps = f"[\n{p}  {sep.join(compress(num, digits))}\n{p}]" if f > 0 else "[]"
     return (
-        f'{{\n{p}"generators": [\n{p}  {sep.join(map(str, s.min_generators))}\n{p}],'
-        f'\n{p}"gaps": {listed},'
-        f'\n{p}"frobenius": {f},\n{p}"genus": {len(gaps)},'
+        f'{{\n{p}"generators": [\n{p}  {sep.join(map(num.__getitem__, s.min_generators))}\n{p}],'
+        f'\n{p}"gaps": {gaps},'
+        f'\n{p}"frobenius": {f},\n{p}"genus": {digits.count(1)},'
         f'\n{p}"multiplicity": {m},\n{p}"depth": {-(-(f + 1) // m)}\n    }}'
     )
 
 
-def _tree_json(tree: VarietyTree) -> str:
+def _tree_json(tree: VarietyTree, num: list[str]) -> Iterator[str]:
     """``json.dumps(tree.to_json_dict(), indent=2) + "\\n"``, written directly.
 
     The pure-Python encoder that ``indent`` selects costs more than the
@@ -141,31 +144,45 @@ def _tree_json(tree: VarietyTree) -> str:
     An edge's parent index is its position in ``nodes``.
     """
     index = {s: i for i, s in enumerate(tree.nodes)}
-    nodes = _json_array([_json_node(s) for s in tree.nodes], "  ")
-    edges = _json_array([f"[\n      {i},\n      {index[c]}\n    ]"
-                         for i, p in enumerate(tree.nodes) for c in tree.children_of(p)], "  ")
-    return f'{{\n  "nodes": {nodes},\n  "edges": {edges}\n}}\n'
+    yield '{\n  "nodes": '
+    yield from _json_array((_json_node(s, num) for s in tree.nodes), "  ")
+    yield ',\n  "edges": '
+    yield from _json_array((f"[\n      {i},\n      {index[c]}\n    ]"
+                            for i, p in enumerate(tree.nodes) for c in tree.children_of(p)), "  ")
+    yield "\n}\n"
 
 
-def _tree_text(tree: VarietyTree) -> str:
+def _tree_text(tree: VarietyTree, num: list[str]) -> Iterator[str]:
     """One node per line, indented two spaces per level below the root."""
-    lines: list[str] = []
+    stack = [(tree.root, "")]
+    while stack:
+        node, indent = stack.pop()
+        yield indent + _name(node, num) + "\n"
+        stack.extend((child, indent + "  ") for child in reversed(tree.children_of(node)))
 
-    def walk(node: NumericalSemigroup, level: int) -> None:
-        lines.append("  " * level + str(node) + "\n")
-        for child in tree.children_of(node):
-            walk(child, level + 1)
 
-    walk(tree.root, 0)
-    return "".join(lines)
+def _tree_dot(tree: VarietyTree, num: list[str]) -> Iterator[str]:
+    """A Graphviz digraph: a line per node, then a line per edge."""
+    names = {s: f'"{_name(s, num)}"' for s in tree.nodes}
+    yield "digraph variety_tree {\n"
+    yield from (f"  {name};\n" for name in names.values())
+    yield from (f"  {names[p]} -> {names[c]};\n" for p, c in tree.edges)
+    yield "}\n"
+
+
+def _tree_pieces(tree: VarietyTree, format: str) -> Iterator[str]:
+    """:func:`export_tree` in pieces, one per node or edge (per line for text).
+
+    The format is checked first.  ``num[i]`` is ``str(i)`` for every gap
+    and generator: each is at most F + m, and the root's is 1.
+    """
+    for name, render in (("text", _tree_text), ("dot", _tree_dot), ("json", _tree_json)):
+        if format == name:
+            top = max(s.frobenius + s.multiplicity for s in tree.nodes)
+            return render(tree, list(map(str, range(top + 2))))
+    raise UnknownFormat(f"unsupported tree format {format!r}")
 
 
 def export_tree(tree: VarietyTree, format: str) -> str:
     """Render as indented text ("text"), a Graphviz digraph ("dot") or adjacency lists ("json")."""
-    if format == "text":
-        return _tree_text(tree)
-    if format == "dot":
-        return tree.to_dot()
-    if format == "json":
-        return _tree_json(tree)
-    raise UnknownFormat(f"unsupported tree format {format!r}")
+    return "".join(_tree_pieces(tree, format))

@@ -40,6 +40,7 @@ def test_second_spellings_are_gone():
         for name in ("from_gaps", "naturals", "halve",
                      "is_intersection_closed", "is_quotient_closed"):
             assert not hasattr(cls, name), (cls.__name__, name)
+    assert not hasattr(numsem.VarietyTree, "to_dot")  # export_tree(tree, "dot")
 
 
 def test_version():

@@ -23,7 +23,8 @@ def write_runs(directory: Path, workload: str, rel_walls: list[float], failed: i
     (directory / f"{workload}-traced.json").write_text(json.dumps(traced))
 
 
-def test_build_and_compare(tmp_path, capsys):
+def test_build_and_compare(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
     write_runs(tmp_path / "parent", "tree-json", [0.50, 0.52, 0.54, 0.56, 0.58])
     write_runs(tmp_path / "change", "tree-json", [0.45, 0.47, 0.60, 0.51, 0.53], failed=1)
     out = tmp_path / "BENCH.json"
@@ -33,6 +34,7 @@ def test_build_and_compare(tmp_path, capsys):
     ]) == 0
     bench = json.loads(out.read_text())
     assert (bench["parent_sha"], bench["change_sha"], bench["seeds"]) == ("p", "c", [1, 2, 3, 4, 5])
+    assert bench["pythondontwritebytecode"] is None
     w = bench["workloads"]["tree-json"]
     assert w["parent"]["rel_wall"] == pytest.approx({"q1": 0.52, "median": 0.54, "q3": 0.56})
     assert w["change"]["rel_wall"]["median"] == pytest.approx(0.51)
@@ -53,3 +55,15 @@ def test_unpaired_seeds_are_refused(tmp_path):
             "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
             "--parent-sha", "p", "--change-sha", "c", "--output", str(tmp_path / "b.json"),
         ])
+
+
+def test_the_bytecode_setting_is_recorded(tmp_path, monkeypatch):
+    write_runs(tmp_path / "parent", "variety", [0.2, 0.3])
+    write_runs(tmp_path / "change", "variety", [0.2, 0.3])
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    out = tmp_path / "b.json"
+    assert bench_file.main([
+        "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+        "--parent-sha", "p", "--change-sha", "c", "--output", str(out),
+    ]) == 0
+    assert json.loads(out.read_text())["pythondontwritebytecode"] == "1"

@@ -3,10 +3,13 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
+import pytest
+
 import numsem
-from numsem import cli, enumerate_tree
+from numsem import ALL_SEMIGROUPS, cli, depth_predicate, enumerate_tree, export_tree
 from numsem.cli import main
 
 VARIETY_GOLDEN = "<1>\n<2,3>\n<2,5>\n<3,4,5>\n<3,5,7>\n<4,5,6,7>\n<5,6,7,8,9>\n"
@@ -37,6 +40,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def numsem_process(*argv: str, **kwargs) -> subprocess.Popen:
+    """``python -m numsem ARGV`` in a child process, on this checkout's package."""
+    env = {**os.environ, "PYTHONPATH": str(Path(numsem.__file__).parents[1])}
+    return subprocess.Popen([sys.executable, "-m", "numsem", *argv], env=env,
+                            stderr=subprocess.PIPE, text=True, **kwargs)
 
 
 class TestGoldenOutputs:
@@ -163,6 +173,61 @@ class TestDeterminismAndOutput:
         assert code == 0
         assert out == ""
         assert target.read_text() == stdout_text
+
+    def test_streamed_tree_equals_export_tree_and_the_output_file(self, capsys, tmp_path):
+        """stdout, ``--output`` and ``export_tree`` agree for every format, edgeless trees too."""
+        target = tmp_path / "tree.out"
+        for bound in range(1, 17):
+            for depth in (None, 0, 1, 2, 3):  # depth 0: the root alone, no edges
+                pred = ALL_SEMIGROUPS if depth is None else depth_predicate(depth)
+                tree = enumerate_tree(bound, pred)
+                argv = ["tree", "--frobenius-bound", str(bound)]
+                argv += [] if depth is None else ["--depth", str(depth)]
+                for fmt in ("text", "json", "dot"):
+                    expected = export_tree(tree, fmt)
+                    assert run(capsys, *argv, "--format", fmt) == (0, expected, "")
+                    assert run(capsys, *argv, "--format", fmt, "--output", str(target)) == (0, "", "")
+                    assert target.read_text() == expected
+
+    def test_tree_is_written_without_its_whole_text(self, monkeypatch):
+        """Once the walk is done, rendering and writing hold less than half the output at once."""
+        size = len(export_tree(enumerate_tree(16), "json"))
+        held = []
+
+        def walked(*args):
+            tree = enumerate_tree(*args)
+            held.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            return tree
+
+        monkeypatch.setattr(cli, "enumerate_tree", walked)
+        with open(os.devnull, "w", encoding="utf-8") as sink:
+            monkeypatch.setattr(sys, "stdout", sink)
+            tracemalloc.start()
+            try:
+                assert main(["tree", "--frobenius-bound", "16", "--format", "json"]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak - held[0] < size / 2
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_a_full_stdout_is_one(self):
+        with open("/dev/full", "w") as full:
+            for argv in (("tree", "--frobenius-bound", "20", "--format", "json"), ("info", "3,5")):
+                child = numsem_process(*argv, stdout=full)
+                _, err = child.communicate(timeout=60)
+                assert (child.returncode, err) == (
+                    1, "error: OSError: [Errno 28] No space left on device\n")
+
+    def test_a_closed_pipe_is_one(self):
+        child = numsem_process("tree", "--frobenius-bound", "20", "--format", "json",
+                               stdout=subprocess.PIPE)
+        assert child.stdout.read(10) == '{\n  "nodes'
+        child.stdout.close()
+        assert child.wait(timeout=60) == 1
+        assert child.stderr.read() == "error: BrokenPipeError: [Errno 32] Broken pipe\n"
+        child.stderr.close()
 
     def test_output_to_a_missing_directory_is_one(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x"

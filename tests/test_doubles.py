@@ -92,6 +92,13 @@ class TestIsUpperMSet:
             with pytest.raises(InvalidCertificate, match="not gaps"):
                 build_double(S4511, 9, candidate)
 
+    def test_mixed_type_elements_are_listed_not_compared(self):
+        """A label mixing types raises NotGapSubset, ints listed first in order, then the rest."""
+        with pytest.raises(NotGapSubset, match=r"^\['6', 1\.5\] are not gaps of <4,5,11>$"):
+            is_upper_m_set(S4511, 9, {"6", 1.5})
+        with pytest.raises(NotGapSubset, match=r"^\[4, 10, 1\.5\] are not gaps"):
+            is_upper_m_set(S4511, 9, {10, 1.5, 4, 6})
+
     def test_matches_the_three_conditions_on_every_gap_subset(self):
         """The closure test of the double decides exactly the definition, failures included."""
         checked = failing = 0

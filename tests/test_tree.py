@@ -233,7 +233,7 @@ class TestExport:
             assert child.quotient(2) == parent
 
     def test_json_bytes_match_json_dumps(self):
-        for bound in range(1, 15):
+        for bound in range(1, 17):
             for pred in (ALL_SEMIGROUPS, *map(depth_predicate, range(4))):
                 tree = enumerate_tree(bound, pred)
                 expected = json.dumps(tree.to_json_dict(), indent=2) + "\n"

@@ -13,9 +13,12 @@ third quartile of each side's ``rel_wall``, ``peak_rss_mb`` and
 ``setup_s``, the change/parent ratio of the medians, the number of pairs
 the change won (lower, ties counting for neither), and the attempted and
 failed invocations.  It also prints those ratios.  Run it on the host and
-interpreter that made the runs: the file records their Python version
-and CPU count.  ``--compare`` prints, for two such files, the ratio of
-B's change medians to A's change medians, workload by workload.
+interpreter that made the runs, and with their environment: the file
+records their Python version, CPU count and ``PYTHONDONTWRITEBYTECODE``
+(null when unset), since a side that may reuse a ``__pycache__`` skips
+compiling the package on every invocation.  ``--compare`` prints, for
+two such files, the ratio of B's change medians to A's change medians,
+workload by workload.
 
 Standard library only; it imports nothing from numsem or the benchmark.
 """
@@ -90,6 +93,7 @@ def build(args: argparse.Namespace) -> dict:
         "seeds": sorted(seeds),
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
+        "pythondontwritebytecode": os.environ.get("PYTHONDONTWRITEBYTECODE"),
         "parent_sha": args.parent_sha,
         "change_sha": args.change_sha,
         "note": args.note,
