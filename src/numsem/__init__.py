@@ -9,6 +9,10 @@ API changes in 0.2.0, one spelling per operation: ``from_gaps(g)`` is
 ``s.halve()`` are ``s.quotient(2)``, ``children(s, b, p)`` is
 ``enumerate_tree(b, p).children_of(s)``; ``doubles_oracle`` and
 ``VarietySet.is_intersection_closed``/``is_quotient_closed`` are gone.
+
+API changes in 0.3.0: a ``VarietyTree`` keeps ``children`` as positions in ``nodes``;
+``tree.to_json_dict()`` is ``export_tree(tree, "json")``; an ``EnumerationReport``
+holds ``(bound, semigroups)`` and derives ``counts_by_frobenius``.
 """
 
 from .core import (
@@ -64,4 +68,4 @@ from .varieties import (
     smallest_variety,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

@@ -15,7 +15,7 @@ from typing import Callable, Iterator
 from .core import NumericalSemigroup, proportionally_modular
 from .doubles import DoubleLabel, build_double, doubles_bounded, upper_m_sets
 from .errors import SemigroupError
-from .oracle import _doubles_in, all_semigroups_up_to, extension_oracle
+from .oracle import _half_index, all_semigroups_up_to, extension_oracle
 from .tree import ALL_SEMIGROUPS, _tree_pieces, depth_predicate, enumerate_tree
 from .varieties import _family_hull, arithmetic_extensions, is_arithmetic_extension, smallest_variety
 
@@ -80,10 +80,10 @@ def _render_semigroup(s: NumericalSemigroup, fmt: str) -> str:
     return str(s) + "\n"
 
 
-def _render_family(members, fmt: str) -> str:
+def _render_family(family, fmt: str) -> str:
     if fmt == "json":
-        return _json_text({"members": [s.to_json_dict() for s in members]})
-    return "".join(str(s) + "\n" for s in members)
+        return _json_text(family.to_json_dict())
+    return "".join(str(s) + "\n" for s in family)
 
 
 def _double_line(label: DoubleLabel, t: NumericalSemigroup) -> str:
@@ -190,14 +190,15 @@ def _cmd_enumerate_all(args) -> tuple[int, str]:
 def _cmd_oracle_check(args) -> tuple[int, str]:
     bound = args.frobenius_bound
     top = all_semigroups_up_to(bound)  # one 2^bound walk serves every smaller bound
-    reports = {f: top.up_to(f) for f in range(1, bound + 1)}
-    tree_ok = sum(enumerate_tree(f).nodes == reports[f].semigroups for f in reports)
+    tree_ok = sum(enumerate_tree(f).nodes == top.up_to(f).semigroups for f in range(1, bound + 1))
     lines = [f"{'ok' if tree_ok == bound else 'MISMATCH'} tree-vs-bruteforce: "
              f"{tree_ok}/{bound} bounds agree\n"]
 
+    halves = _half_index(top)
     small = [s for s in top.semigroups if s.frobenius <= bound // 2]
-    bad = [(s, f) for s in small for f in reports
-           if [t for _, t in doubles_bounded(s, f)] != _doubles_in(reports[f], s)]
+    bad = [(s, f) for s in small for f in range(1, bound + 1)
+           if [t for _, t in doubles_bounded(s, f)]
+           != [t for t in halves.get(s.gap_mask, ()) if t.frobenius <= f]]
     lines += [f"MISMATCH doubles-vs-bruteforce: S={s} F={f}\n" for s, f in bad] or [
         f"ok doubles-vs-bruteforce: {len(small)} semigroups x {bound} bounds agree\n"]
 

@@ -95,12 +95,6 @@ def _every_nth_bits(x: int, divisors: Iterable[int]) -> list[int]:
     return [int(digits[2 + top % d::d], 2) for d in divisors]
 
 
-def _every_nth_bit(x: int, d: int) -> int:
-    """Bit k of the result is bit k*d of ``x >= 0``, as in :func:`_every_nth_bits`."""
-    digits = bin(x)
-    return int(digits[2 + (len(digits) - 3) % d::d], 2)
-
-
 def _positive_ints(values: Iterable[int], error: type[Exception], what: str) -> set[int]:
     """The distinct values by ``operator.index``, never truncated; ``error`` unless all positive."""
     values = iter(values)  # a non-iterable raises TypeError
@@ -321,7 +315,7 @@ class NumericalSemigroup:
         """All x whose d-fold multiple is a member; equals the full set iff d is."""
         if d < 1:
             raise NonPositiveDivisor(f"divisor must be >= 1, got {d}")
-        return NumericalSemigroup._from_mask(_every_nth_bit(self._mask, d))
+        return NumericalSemigroup._from_mask(_every_nth_bits(self._mask, (d,))[0])
 
     def intersect(self, other: "NumericalSemigroup") -> "NumericalSemigroup":
         """Set intersection; the gap set is the union of both gap sets."""

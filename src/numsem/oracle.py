@@ -7,15 +7,14 @@ The closure test runs on bitmasks (bit i set = i is a member): the
 complement is closed iff no shift of the member mask by a member hits
 a gap bit.  A hard cap keeps the exponential walk at desk scale.  A
 check over bounds 1..N walks once, at N, and filters that report by F
-(:meth:`EnumerationReport.up_to`).  A report indexes its semigroups
-once by their half's gap mask: the doubles of S are one lookup.
+(:meth:`EnumerationReport.up_to`).  :func:`_half_index` files its
+semigroups once under their half's gap mask: the doubles of S are one lookup.
 """
 
 from collections import Counter
-from functools import cached_property
 from itertools import combinations
 
-from .core import NATURALS, NumericalSemigroup, _every_nth_bit, _Record
+from .core import NATURALS, NumericalSemigroup, _every_nth_bits, _Record
 from .errors import BoundTooLarge, NotASemigroup
 from .varieties import VarietySet
 
@@ -24,17 +23,19 @@ ENUMERATION_CAP = 20
 
 
 class EnumerationReport(_Record):
-    """Everything the gap-subset walk found for one bound; unhashable, as it holds a dict."""
+    """Everything the gap-subset walk found for one bound, in canonical order."""
 
-    _fields = ("bound", "semigroups", "counts_by_frobenius")  # no __slots__: see _by_half
+    __slots__ = _fields = ("bound", "semigroups")  # int, tuple[NumericalSemigroup, ...]
+
+    @property
+    def counts_by_frobenius(self) -> dict[int, int]:
+        return dict(Counter(s.frobenius for s in self.semigroups))
 
     def to_json_dict(self) -> dict:
+        counts = self.counts_by_frobenius
         return {
             "bound": self.bound,
-            "counts": {
-                str(f): self.counts_by_frobenius[f]
-                for f in sorted(self.counts_by_frobenius)
-            },
+            "counts": {str(f): counts[f] for f in sorted(counts)},
             "semigroups": [list(s.min_generators) for s in self.semigroups],
         }
 
@@ -42,18 +43,7 @@ class EnumerationReport(_Record):
         """The report for a smaller bound: the semigroups with F <= bound, in order."""
         if not 1 <= bound <= self.bound:
             raise ValueError(f"bound must be in 1..{self.bound}, got {bound}")
-        return _report(bound, [s for s in self.semigroups if s.frobenius <= bound])
-
-    @cached_property
-    def _by_half(self) -> dict[int, list[NumericalSemigroup]]:
-        index: dict[int, list[NumericalSemigroup]] = {}
-        for t in self.semigroups:
-            index.setdefault(_every_nth_bit(t.gap_mask, 2), []).append(t)
-        return index
-
-
-def _report(bound: int, found: list[NumericalSemigroup]) -> EnumerationReport:
-    return EnumerationReport(bound, tuple(found), dict(Counter(s.frobenius for s in found)))
+        return EnumerationReport(bound, tuple(s for s in self.semigroups if s.frobenius <= bound))
 
 
 def all_semigroups_up_to(bound: int) -> EnumerationReport:
@@ -74,14 +64,20 @@ def all_semigroups_up_to(bound: int) -> EnumerationReport:
                 break
         if closed:
             found.append(NumericalSemigroup._from_mask(gap_bits))
-    return _report(bound, sorted(found))
+    return EnumerationReport(bound, tuple(sorted(found)))
 
 
-def _doubles_in(
-    report: EnumerationReport, s: NumericalSemigroup
-) -> list[NumericalSemigroup]:
-    """The semigroups of ``report`` other than ``s`` whose half is ``s``."""
-    return [t for t in report._by_half.get(s.gap_mask, ()) if t != s]
+def _half_index(report: EnumerationReport) -> dict[int, list[NumericalSemigroup]]:
+    """The report's semigroups, in order, filed under their half's gap mask.
+
+    The doubles of S in the report are the list at S's gap mask.  The
+    full set, the one semigroup that is its own half, is left out.
+    """
+    index: dict[int, list[NumericalSemigroup]] = {}
+    for t in report.semigroups:
+        if t.gap_mask:
+            index.setdefault(_every_nth_bits(t.gap_mask, (2,))[0], []).append(t)
+    return index
 
 
 def extension_oracle(s: NumericalSemigroup) -> VarietySet:
@@ -92,7 +88,7 @@ def extension_oracle(s: NumericalSemigroup) -> VarietySet:
     back exactly T, met as the OR of quotient gap masks built once per s.
     """
     out = []
-    quotients = [_every_nth_bit(s.gap_mask, d) for d in range(1, max(s.frobenius, 0) + 2)]
+    quotients = _every_nth_bits(s.gap_mask, range(1, max(s.frobenius, 0) + 2))
     for r in range(len(s.gaps) + 1):
         for combo in combinations(s.gaps, r):
             try:

@@ -5,14 +5,14 @@ the full set, where the parent of a node is its half-quotient.  With a
 Frobenius bound the tree is finite and can be generated breadth-first:
 the children of S are exactly its bounded doubles that the family's
 membership predicate accepts.  The depth-bounded families are the
-motivating instance; the predicate is pluggable so the brute-force
-oracle can drive the same walker.
+motivating instance; the predicate is pluggable.
 """
 
+from bisect import bisect_left
 from itertools import compress
 from typing import Iterable, Iterator
 
-from .core import _DIGIT_VALUES, NATURALS, NumericalSemigroup, _every_nth_bit, _Record
+from .core import _DIGIT_VALUES, NATURALS, NumericalSemigroup, _every_nth_bits, _Record
 from .doubles import _bounded_doubles
 from .errors import PredicateNotClosed, UnknownFormat
 
@@ -37,32 +37,25 @@ def depth_predicate(q: int) -> VarietyPredicate:
 class VarietyTree(_Record):
     """Finite rooted tree: canonical ``nodes`` and each node's children.
 
-    The walk's map from a node to its children, in canonical order, is
-    stored; ``edges`` is a view of it.  It is in ``==`` but not ``hash``.
+    ``children[i]`` is the tuple of positions in ``nodes`` of the
+    children of ``nodes[i]``, in canonical order; ``edges`` is a view of it.
     """
 
-    __slots__ = _fields = ("bound", "predicate_name", "nodes", "_children")
-
-    def __hash__(self) -> int:
-        return hash((self.bound, self.predicate_name, self.nodes))
+    __slots__ = _fields = ("bound", "predicate_name", "nodes", "children")
 
     @property
     def edges(self) -> tuple[tuple[NumericalSemigroup, NumericalSemigroup], ...]:
-        return tuple((p, c) for p in self.nodes for c in self._children[p])
+        return tuple((p, self.nodes[c]) for p, cs in zip(self.nodes, self.children) for c in cs)
 
     @property
     def root(self) -> NumericalSemigroup:
         return NATURALS
 
     def children_of(self, s: NumericalSemigroup) -> tuple[NumericalSemigroup, ...]:
-        return self._children.get(s, ())
-
-    def to_json_dict(self) -> dict:
-        index = {s: i for i, s in enumerate(self.nodes)}
-        return {
-            "nodes": [s.to_json_dict() for s in self.nodes],
-            "edges": [[index[p], index[c]] for p, c in self.edges],
-        }
+        """The children of ``s`` in canonical order; none when ``s`` is not a node."""
+        nodes = self.nodes
+        i = bisect_left(nodes, s)
+        return tuple(nodes[c] for c in self.children[i]) if nodes[i:i + 1] == (s,) else ()
 
 
 def enumerate_tree(
@@ -97,15 +90,16 @@ def enumerate_tree(
             if predicate.accepts(t):
                 nodes.append(t)
                 parents.append(i)
-    order = sorted(range(len(nodes)), key=lambda i: nodes[i].min_generators)
-    kids: list[list[NumericalSemigroup]] = [[] for _ in nodes]
-    for i in order[1:]:  # the root <1> sorts first; the rest come in canonical order
+    positions = list(range(len(nodes)))  # children share these ints; new ones raised peak RSS
+    order = sorted(positions, key=lambda i: nodes[i].min_generators)  # nodes[order[r]] goes to r
+    kids: list[list[int]] = [[] for _ in nodes]  # by walk index: the children's canonical positions
+    for r, i in zip(positions[1:], order[1:]):  # the root <1> sorts first
         t, p = nodes[i], nodes[parents[i]]
-        if _every_nth_bit(t.gap_mask, 2) != p.gap_mask:  # the gap mask of t.quotient(2)
+        if _every_nth_bits(t.gap_mask, (2,))[0] != p.gap_mask:  # the gap mask of t.quotient(2)
             raise PredicateNotClosed(f"{t} was found under {p}, not under its half")
-        kids[parents[i]].append(t)
-    ordered = tuple(nodes[i] for i in order)
-    return VarietyTree(bound, predicate.name, ordered, {nodes[i]: tuple(kids[i]) for i in order})
+        kids[parents[i]].append(r)
+    return VarietyTree(bound, predicate.name, tuple(nodes[i] for i in order),
+                       tuple(tuple(kids[i]) for i in order))
 
 
 def _json_array(items: Iterable[str], pad: str) -> Iterator[str]:
@@ -137,36 +131,36 @@ def _json_node(s: NumericalSemigroup, num: list[str]) -> str:
 
 
 def _tree_json(tree: VarietyTree, num: list[str]) -> Iterator[str]:
-    """``json.dumps(tree.to_json_dict(), indent=2) + "\\n"``, written directly.
+    """``{"nodes": [...], "edges": [...]}`` as ``json.dumps(..., indent=2) + "\\n"`` writes it.
 
-    The pure-Python encoder that ``indent`` selects costs more than the
-    walk itself; the layout is fixed, so it is written here instead.
-    An edge's parent index is its position in ``nodes``.
+    A node is its ``to_json_dict``, in canonical order; an edge is the pair
+    of positions of parent and child.  The pure-Python encoder that ``indent``
+    selects costs more than the walk; the layout is fixed, so it is written here.
     """
-    index = {s: i for i, s in enumerate(tree.nodes)}
     yield '{\n  "nodes": '
     yield from _json_array((_json_node(s, num) for s in tree.nodes), "  ")
     yield ',\n  "edges": '
-    yield from _json_array((f"[\n      {i},\n      {index[c]}\n    ]"
-                            for i, p in enumerate(tree.nodes) for c in tree.children_of(p)), "  ")
+    yield from _json_array((f"[\n      {p},\n      {c}\n    ]"
+                            for p, kids in enumerate(tree.children) for c in kids), "  ")
     yield "\n}\n"
 
 
 def _tree_text(tree: VarietyTree, num: list[str]) -> Iterator[str]:
-    """One node per line, indented two spaces per level below the root."""
-    stack = [(tree.root, "")]
+    """One node per line, indented two spaces per level below the root (position 0)."""
+    nodes, children = tree.nodes, tree.children
+    stack = [(0, "")]
     while stack:
-        node, indent = stack.pop()
-        yield indent + _name(node, num) + "\n"
-        stack.extend((child, indent + "  ") for child in reversed(tree.children_of(node)))
+        i, indent = stack.pop()
+        yield indent + _name(nodes[i], num) + "\n"
+        stack.extend((c, indent + "  ") for c in reversed(children[i]))
 
 
 def _tree_dot(tree: VarietyTree, num: list[str]) -> Iterator[str]:
     """A Graphviz digraph: a line per node, then a line per edge."""
-    names = {s: f'"{_name(s, num)}"' for s in tree.nodes}
+    names = [f'"{_name(s, num)}"' for s in tree.nodes]
     yield "digraph variety_tree {\n"
-    yield from (f"  {name};\n" for name in names.values())
-    yield from (f"  {names[p]} -> {names[c]};\n" for p, c in tree.edges)
+    yield from (f"  {name};\n" for name in names)
+    yield from (f"  {names[p]} -> {names[c]};\n" for p, cs in enumerate(tree.children) for c in cs)
     yield "}\n"
 
 

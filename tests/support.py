@@ -6,8 +6,10 @@ member masks, power-set filtering instead of closure-lattice walking,
 pairwise sums instead of bit shifts, the generators instead of the
 double's gap mask, the product of extension sets instead of their intersection
 closure, the classical removal tree instead of the tree of doubles, the
-exhaustive list instead of the doubles walk, and inclusion scans of the
-whole extension family instead of its closed-form extremes.
+exhaustive list instead of the doubles walk, inclusion scans of the
+whole extension family instead of its closed-form extremes, and the
+tree's JSON object for ``json.dumps``, indexed from its edges, instead of
+the hand-written JSON of its child positions.
 """
 
 import itertools
@@ -101,6 +103,15 @@ def double_by_generators(s, m, upper_set):
 def filtered_children(s, bound, predicate):
     """Bounded doubles of ``s`` that the predicate accepts, built and then filtered."""
     return [t for _, t in doubles_bounded(s, bound) if predicate.accepts(t)]
+
+
+def tree_json_dict(tree):
+    """The object ``export_tree(tree, "json")`` encodes: nodes, and edges as index pairs."""
+    index = {s: i for i, s in enumerate(tree.nodes)}
+    return {
+        "nodes": [s.to_json_dict() for s in tree.nodes],
+        "edges": [[index[p], index[c]] for p, c in tree.edges],
+    }
 
 
 def brute_force_doubles(s, bound):

@@ -41,7 +41,8 @@ def test_second_spellings_are_gone():
                      "is_intersection_closed", "is_quotient_closed"):
             assert not hasattr(cls, name), (cls.__name__, name)
     assert not hasattr(numsem.VarietyTree, "to_dot")  # export_tree(tree, "dot")
+    assert not hasattr(numsem.VarietyTree, "to_json_dict")  # export_tree(tree, "json")
 
 
 def test_version():
-    assert numsem.__version__ == "0.2.0"
+    assert numsem.__version__ == "0.3.0"

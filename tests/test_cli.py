@@ -11,6 +11,7 @@ import pytest
 import numsem
 from numsem import ALL_SEMIGROUPS, cli, depth_predicate, enumerate_tree, export_tree
 from numsem.cli import main
+from support import tree_json_dict
 
 VARIETY_GOLDEN = "<1>\n<2,3>\n<2,5>\n<3,4,5>\n<3,5,7>\n<4,5,6,7>\n<5,6,7,8,9>\n"
 
@@ -154,7 +155,7 @@ class TestGoldenOutputs:
     def test_tree_json_bytes(self, capsys):
         code, out, _ = run(capsys, "tree", "--frobenius-bound", "12", "--format", "json")
         assert code == 0
-        assert out == json.dumps(enumerate_tree(12).to_json_dict(), indent=2) + "\n"
+        assert out == json.dumps(tree_json_dict(enumerate_tree(12)), indent=2) + "\n"
 
 
 class TestDeterminismAndOutput:

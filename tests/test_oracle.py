@@ -23,7 +23,7 @@ from numsem import (
 )
 import numsem.cli as cli_module
 from numsem.cli import main
-from numsem.oracle import _doubles_in
+from numsem.oracle import _half_index
 
 NS = NumericalSemigroup
 FIXTURE = Path(__file__).parent / "fixtures" / "enumeration_f12.json"
@@ -77,32 +77,40 @@ class TestFrozenFixture:
         assert capsys.readouterr().out == FIXTURE.read_text()
 
 
+def doubles_in(report, s):
+    """The semigroups of ``report`` other than ``s`` whose half is ``s``, by the half index."""
+    return _half_index(report).get(s.gap_mask, [])
+
+
 class TestDoublesOracle:
     def test_worked_example_count(self):
-        assert len(_doubles_in(all_semigroups_up_to(15), NS.from_generators([4, 5, 11]))) == 18
+        assert len(doubles_in(all_semigroups_up_to(15), NS.from_generators([4, 5, 11]))) == 18
 
     def test_tight_bound(self):
-        assert _doubles_in(all_semigroups_up_to(13), NS.from_generators([4, 5, 11])) == []
+        assert doubles_in(all_semigroups_up_to(13), NS.from_generators([4, 5, 11])) == []
 
     def test_naturals(self):
-        got = _doubles_in(all_semigroups_up_to(5), NATURALS)
+        got = doubles_in(all_semigroups_up_to(5), NATURALS)
         assert got == [NS.from_generators([2, 3]), NS.from_generators([2, 5]), NS.from_generators([2, 7])]
         assert NATURALS not in got
 
     def test_results_halve_back(self):
         s = NS.from_generators([3, 4, 5])
-        for t in _doubles_in(all_semigroups_up_to(10), s):
+        for t in doubles_in(all_semigroups_up_to(10), s):
             assert t.quotient(2) == s
 
 
 class TestOneWalkAndHalfIndex:
     def test_doubles_in_matches_its_definition(self):
+        """At each bound, and filtered by F from the top bound's index as oracle-check does."""
         small = all_semigroups_up_to(6).semigroups
+        top = _half_index(all_semigroups_up_to(12))
         for bound in range(1, 13):
             report = all_semigroups_up_to(bound)
             for s in small:
                 want = [t for t in report.semigroups if t.quotient(2) == s and t != s]
-                assert _doubles_in(report, s) == want, (str(s), bound)
+                assert doubles_in(report, s) == want, (str(s), bound)
+                assert [t for t in top.get(s.gap_mask, []) if t.frobenius <= bound] == want
 
     def test_smaller_bounds_filter_one_walk(self):
         top = all_semigroups_up_to(12)

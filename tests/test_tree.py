@@ -21,7 +21,7 @@ from numsem import (
     enumerate_tree,
     export_tree,
 )
-from support import filtered_children, random_semigroup, removal_tree
+from support import filtered_children, random_semigroup, removal_tree, tree_json_dict
 
 NS = NumericalSemigroup
 
@@ -236,7 +236,7 @@ class TestExport:
         for bound in range(1, 17):
             for pred in (ALL_SEMIGROUPS, *map(depth_predicate, range(4))):
                 tree = enumerate_tree(bound, pred)
-                expected = json.dumps(tree.to_json_dict(), indent=2) + "\n"
+                expected = json.dumps(tree_json_dict(tree), indent=2) + "\n"
                 assert export_tree(tree, "json") == expected
 
     def test_text_nesting_is_the_edge_list(self):
@@ -263,3 +263,22 @@ class TestExport:
         tree = enumerate_tree(5)
         got = tree.children_of(NATURALS)
         assert got == tuple(filtered_children(NATURALS, 5, ALL_SEMIGROUPS))
+
+    def test_children_of_a_semigroup_that_is_not_a_node(self):
+        tree = enumerate_tree(5)
+        for gens in ([3, 7], [4, 5, 11], [20, 21]):  # F > 5; <20,21> sorts after every node
+            s = NS.from_generators(gens)
+            assert s not in tree.nodes
+            assert tree.children_of(s) == ()
+        assert enumerate_tree(5, depth_predicate(0)).children_of(NS.from_generators([2, 3])) == ()
+
+    def test_child_positions_agree_with_edges_and_json(self):
+        for bound in range(1, 15):
+            for pred in (ALL_SEMIGROUPS, *map(depth_predicate, range(4))):
+                tree = enumerate_tree(bound, pred)
+                assert len(tree.children) == len(tree.nodes)
+                pairs = [(p, c) for p, cs in enumerate(tree.children) for c in cs]
+                assert [(tree.nodes[p], tree.nodes[c]) for p, c in pairs] == list(tree.edges)
+                assert json.loads(export_tree(tree, "json"))["edges"] == [list(e) for e in pairs]
+                for s, cs in zip(tree.nodes, tree.children):
+                    assert tree.children_of(s) == tuple(tree.nodes[c] for c in cs)
