@@ -348,8 +348,10 @@ class NumericalSemigroup:
     def __hash__(self) -> int:
         return hash(self._mask)
 
-    def __lt__(self, other: "NumericalSemigroup") -> bool:
+    def __lt__(self, other: object) -> bool:
         # canonical order: lexicographic on the minimal generating system
+        if not isinstance(other, NumericalSemigroup):
+            return NotImplemented
         return self.min_generators < other.min_generators
 
     def __str__(self) -> str:

@@ -3,22 +3,22 @@
 Enumeration works on the gap side: a semigroup with Frobenius number at
 most F has its gap set inside {1..F}, so walking all 2^F subsets and
 keeping those whose complement is additively closed is exhaustive.
-The closure test runs on bitmasks (bit i set = i is a member): the
-complement is closed iff no shift of the member mask by a member hits
-a gap bit.  A hard cap keeps the exponential walk at desk scale.  A
-check over bounds 1..N walks once, at N, and filters that report by F
+:func:`_closed_by_shifts`, the one closure test, shifts the member mask by
+each member a <= F/2 and ANDs it with the gaps.  The extension oracle walks
+the submasks of one gap mask and tests each quotient's inclusion with one
+AND.  A hard cap keeps each exponential walk at desk scale.  A check over
+bounds 1..N walks once, at N, and filters that report by F
 (:meth:`EnumerationReport.up_to`).  :func:`_half_index` files its
 semigroups once under their half's gap mask: the doubles of S are one lookup.
 """
 
 from collections import Counter
-from itertools import combinations
 
-from .core import NATURALS, NumericalSemigroup, _every_nth_bits, _Record
-from .errors import BoundTooLarge, NotASemigroup
+from .core import NumericalSemigroup, _every_nth_bits, _Record
+from .errors import BoundTooLarge
 from .varieties import VarietySet
 
-#: Hard cap on the enumeration bound (2^cap subsets).
+#: Hard cap on the enumeration bound and on the extension oracle's genus (2^cap subsets).
 ENUMERATION_CAP = 20
 
 
@@ -46,24 +46,26 @@ class EnumerationReport(_Record):
         return EnumerationReport(bound, tuple(s for s in self.semigroups if s.frobenius <= bound))
 
 
+def _closed_by_shifts(gaps: int) -> bool:
+    """True iff the complement of the gap mask is closed, by brute force over shifts."""
+    n = gaps.bit_length()  # F + 1
+    members = gaps ^ ((1 << n) - 1)
+    a = 1
+    while 2 * a < n:  # a sum of members that is a gap g <= F has a term a <= F/2
+        if (members >> a) & 1 and (members << a) & gaps:
+            return False
+        a += 1
+    return True
+
+
 def all_semigroups_up_to(bound: int) -> EnumerationReport:
     """Every numerical semigroup with Frobenius number <= bound."""
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
     if bound > ENUMERATION_CAP:
         raise BoundTooLarge(f"bound {bound} exceeds the cap {ENUMERATION_CAP}")
-    full = (1 << (bound + 1)) - 1
-    found = [NATURALS]
-    for gap_subset in range(1, 1 << bound):
-        gap_bits = gap_subset << 1  # bit i <-> integer i; 0 is always a member
-        members = full & ~gap_bits
-        closed = True
-        for a in range(1, bound + 1):
-            if (members >> a) & 1 and (members << a) & gap_bits:
-                closed = False
-                break
-        if closed:
-            found.append(NumericalSemigroup._from_mask(gap_bits))
+    evens = range(0, 2 << bound, 2)  # the gap masks inside 1..bound
+    found = [NumericalSemigroup._from_mask(g) for g in evens if _closed_by_shifts(g)]
     return EnumerationReport(bound, tuple(sorted(found)))
 
 
@@ -83,22 +85,25 @@ def _half_index(report: EnumerationReport) -> dict[int, list[NumericalSemigroup]
 def extension_oracle(s: NumericalSemigroup) -> VarietySet:
     """Reference extension family, computed without the intersection closure.
 
-    Walks every supersemigroup of ``s`` (gap subsets) and keeps T when
-    intersecting the quotients of s by all d with d*T inside s gives
-    back exactly T, met as the OR of quotient gap masks built once per s.
+    Walks every submask t of the gap mask of ``s`` (t = (t - 1) & gaps)
+    and keeps each closed t that is the OR of the quotient gap masks
+    q_d, d <= F + 1, with no bit outside t: T is inside s/d, that is
+    d*T inside s, exactly then.  Only the kept T are built.  Raises
+    :class:`BoundTooLarge` when the genus exceeds ``ENUMERATION_CAP``.
     """
-    out = []
-    quotients = _every_nth_bits(s.gap_mask, range(1, max(s.frobenius, 0) + 2))
-    for r in range(len(s.gaps) + 1):
-        for combo in combinations(s.gaps, r):
-            try:
-                t = NumericalSemigroup(combo)
-            except NotASemigroup:
-                continue
+    if s.genus > ENUMERATION_CAP:
+        raise BoundTooLarge(f"genus {s.genus} exceeds the cap {ENUMERATION_CAP}")
+    gaps = t = s.gap_mask
+    quotients = _every_nth_bits(gaps, range(1, s.frobenius + 2))
+    kept = []
+    while True:
+        if _closed_by_shifts(t):
             meet = 0
-            for d, q in enumerate(quotients, 1):
-                if all(s.contains(d * g) for g in t.min_generators):
+            for q in quotients:
+                if not q & ~t:
                     meet |= q
-            if meet == t.gap_mask:
-                out.append(t)
-    return VarietySet.of(out)
+            if meet == t:
+                kept.append(NumericalSemigroup._from_mask(t))
+        if not t:
+            return VarietySet.of(kept)
+        t = (t - 1) & gaps

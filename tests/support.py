@@ -9,7 +9,8 @@ closure, the classical removal tree instead of the tree of doubles, the
 exhaustive list instead of the doubles walk, inclusion scans of the
 whole extension family instead of its closed-form extremes, and the
 tree's JSON object for ``json.dumps``, indexed from its edges, instead of
-the hand-written JSON of its child positions.
+the hand-written JSON of its child positions, and subsets of the gaps with
+the minimal generators of each instead of gap submasks and quotient masks.
 """
 
 import itertools
@@ -20,7 +21,9 @@ from hypothesis import strategies as st
 
 from numsem import (
     NATURALS,
+    NotASemigroup,
     NumericalSemigroup,
+    VarietySet,
     all_semigroups_up_to,
     arithmetic_extensions,
     doubles_bounded,
@@ -112,6 +115,28 @@ def tree_json_dict(tree):
         "nodes": [s.to_json_dict() for s in tree.nodes],
         "edges": [[index[p], index[c]] for p, c in tree.edges],
     }
+
+
+def extension_oracle_by_combinations(s):
+    """Extension family of ``s`` over the subsets of its gaps that are semigroups.
+
+    T is kept when the quotients s/d with d*T inside s, tested on the
+    minimal generators of T, meet to T.
+    """
+    out = []
+    for r in range(len(s.gaps) + 1):
+        for combo in itertools.combinations(s.gaps, r):
+            try:
+                t = NumericalSemigroup(combo)
+            except NotASemigroup:
+                continue
+            meet = NATURALS
+            for d in range(1, max(s.frobenius, 0) + 2):
+                if all(s.contains(d * g) for g in t.min_generators):
+                    meet = meet.intersect(s.quotient(d))
+            if meet == t:
+                out.append(t)
+    return VarietySet.of(out)
 
 
 def brute_force_doubles(s, bound):

@@ -256,6 +256,16 @@ class TestOrderingAndRendering:
         d = NS.from_generators([3, 4, 5])
         assert sorted([d, c, b, a]) == [a, b, c, d]
 
+    def test_ordering_against_other_types_is_a_type_error(self):
+        for compare in (
+            lambda: NATURALS < 3,
+            lambda: 3 < NATURALS,
+            lambda: NATURALS <= 3,
+            lambda: sorted([NATURALS, None]),
+        ):
+            with pytest.raises(TypeError):
+                compare()
+
     def test_text_form(self):
         assert str(NATURALS) == "<1>"
         assert str(NS.from_generators([4, 5, 11])) == "<4,5,11>"

@@ -9,6 +9,7 @@ Rerun that command to regenerate it after an intentional change.
 """
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,9 @@ from numsem import (
 )
 import numsem.cli as cli_module
 from numsem.cli import main
-from numsem.oracle import _half_index
+from numsem.core import _is_closed
+from numsem.oracle import _closed_by_shifts, _half_index
+from support import extension_oracle_by_combinations
 
 NS = NumericalSemigroup
 FIXTURE = Path(__file__).parent / "fixtures" / "enumeration_f12.json"
@@ -151,5 +154,29 @@ class TestExtensionOracle:
         assert by_inclusion[1] == NS.from_generators([5, 6, 7, 8, 9])
 
     def test_agreement_with_closure_route(self):
-        for s in all_semigroups_up_to(8).semigroups:
+        for s in all_semigroups_up_to(12).semigroups:
             assert extension_oracle(s).members == arithmetic_extensions(s).members
+
+    def test_agreement_with_the_combination_oracle(self):
+        pool = all_semigroups_up_to(10).semigroups
+        assert len(pool) == 80
+        for s in pool:
+            assert extension_oracle(s) == extension_oracle_by_combinations(s), str(s)
+
+    def test_genus_over_the_cap_is_refused_at_once(self):
+        s = NS.from_generators([100, 101])
+        start = time.perf_counter()
+        with pytest.raises(BoundTooLarge, match="genus 4950 exceeds the cap 20"):
+            extension_oracle(s)
+        assert time.perf_counter() - start < 1.0
+        with pytest.raises(BoundTooLarge, match="genus 21 exceeds"):
+            extension_oracle(NS.from_generators([3, 22]))  # one over the cap
+
+
+def test_closure_by_shifts_agrees_with_the_apery_test():
+    """Two independent closure tests, on every even gap mask with F <= 14."""
+    closed = 0
+    for mask in range(0, 1 << 15, 2):
+        assert _closed_by_shifts(mask) == _is_closed(mask, mask.bit_length() - 1), bin(mask)
+        closed += _closed_by_shifts(mask)
+    assert closed == len(all_semigroups_up_to(14).semigroups)
