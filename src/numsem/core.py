@@ -9,10 +9,10 @@ when there is none) is ``mask.bit_length() - 1``, and the operations
 are bit operations on masks: membership is a bit test, intersection is
 OR, inclusion a subset test, the genus a bit count and a quotient by d
 keeps every d-th bit.  Every construction validates additive closure
-with a shift-and-test per small member (:func:`_is_closed`).
-The multiplicity, the minimal generating system (through the Apery set
-of the multiplicity) and the depth are derived from the mask, and
-``gaps`` and ``gap_set`` are views of it.
+with one pass over the Apery set of the multiplicity (:func:`_apery_pass`),
+which also finds the minimal generating system when asked; else it is
+derived on first use, as are the multiplicity and the depth, and
+``gaps`` and ``gap_set`` are views of the mask.
 
 Instances are immutable and hashable, so they can be shared freely
 between threads or tasks; every operation is a pure function returning
@@ -119,36 +119,44 @@ def _mask_of(gaps: Iterable[int]) -> int:
     return int(digits, 2)
 
 
-def _members(mask: int) -> int:
-    """Member mask of the gap mask, up to its largest gap."""
-    return ~mask & ((1 << mask.bit_length()) - 1)
-
-
 def _multiplicity(mask: int) -> int:
     """Least positive integer that is not a gap."""
     low = mask | 1
     return (~low & (low + 1)).bit_length() - 1
 
 
-def _is_closed(mask: int, frobenius: int) -> bool:
-    """True iff the complement of the gap mask is closed under addition.
+def _apery_pass(mask: int, frobenius: int, generators: bool = False) -> tuple[int, ...] | None:
+    """None unless the complement of the gap mask is closed under addition.
 
-    A sum a + b of members that is a gap g <= F has a <= F/2 for the
-    smaller term, so shifting the member mask by each member a <= F/2
-    and testing it against the gaps covers every pair.  Fewer shifts
-    do: with m the least nonzero member, once the shift by m passes,
-    a = w + k*m for w in the Apery set of m (members w with w - m not
-    a member) gives g = w + (b + k*m) with b + k*m a member, so the
-    shifts by m and by the Apery elements w <= F/2 cover every pair.
-    Sums above F are members.
+    Otherwise the minimal generators with ``generators``, else ().  With
+    m the multiplicity, every member is w + k*m for w in the Apery set
+    of m (members w with w - m not a member).  So once the member mask
+    shifted by m misses the gaps, a sum that is a gap g <= F is
+    w + (b + k*m) with b + k*m a member and w <= F/2: the shifts by m
+    and by the nonzero Apery elements w <= F/2 cover every pair, and
+    sums above F are members.  The minimal generators are m and the
+    nonzero Apery elements that are no other one plus a nonzero member.
+    One ascending pass decides each against the sums of those before
+    it; as all lie below F + m, only those below F start a sum.  Those
+    shifts include the ones the closure needs, and a gap among the others
+    is a sum of members too, so with ``generators`` their union is ANDed
+    with the gaps once, at the end.
     """
-    members = _members(mask)
     m = _multiplicity(mask)
-    apery = members & ((1 << (frobenius // 2 + 1)) - 2) & ~(members << m)  # nonzero, <= F/2
-    for a in (m, *_bits(apery)):
-        if (members << a) & mask:
-            return False
-    return True
+    positive = ~mask & ((1 << (frobenius + m + 1)) - 2)  # the nonzero members up to F + m
+    apery = positive & ~((positive | 1) << m)  # the nonzero Apery elements, all above m
+    if not generators:
+        for a in (m, *_bits(apery & ((1 << (frobenius // 2 + 1)) - 1))):
+            if (positive << a) & mask:
+                return None
+        return ()
+    msg, sums = [m], positive << m
+    for w in _bits(apery):
+        if not (sums >> w) & 1:
+            msg.append(w)
+        if w < frobenius:
+            sums |= positive << w
+    return None if sums & mask else tuple(msg)
 
 
 @total_ordering
@@ -160,25 +168,26 @@ class NumericalSemigroup:
     def __init__(self, gaps: Iterable[int] = ()) -> None:
         self._set_mask(_mask_of(gaps))
 
-    def _set_mask(self, mask: int) -> None:
-        # the one validation path of every construction
+    def _set_mask(self, mask: int, generators: bool = False) -> None:
+        # the one validation path of every construction; ``generators`` caches them too
         frobenius = mask.bit_length() - 1
         if mask & 1:
             raise NotASemigroup("gaps must be positive integers")
-        if not _is_closed(mask, frobenius):
+        msg = _apery_pass(mask, frobenius, generators)
+        if msg is None:
             raise NotASemigroup(
                 f"the members of the gap set with Frobenius number {frobenius}"
                 " are not closed under addition"
             )
         self._mask = mask
         self._frobenius = frobenius
-        self._msg: tuple[int, ...] | None = None
+        self._msg: tuple[int, ...] | None = msg or None
 
     @classmethod
-    def _from_mask(cls, mask: int) -> "NumericalSemigroup":
+    def _from_mask(cls, mask: int, generators: bool = False) -> "NumericalSemigroup":
         """Build from a gap mask (bit i set iff i is a gap), validating closure."""
         s = cls.__new__(cls)
-        s._set_mask(mask)
+        s._set_mask(mask, generators)
         return s
 
     def __reduce__(self) -> tuple:
@@ -267,28 +276,9 @@ class NumericalSemigroup:
 
     @property
     def min_generators(self) -> tuple[int, ...]:
-        """The unique minimal generating system, computed once and cached.
-
-        Every member is w + k*m for m the multiplicity and w in the
-        Apery set of m (the least member of each residue class mod m),
-        and a member w + k*m with k >= 1 is m plus a member.  So the
-        minimal generators are m and the nonzero Apery elements that
-        are not another nonzero Apery element plus a nonzero member.
-        One ascending pass decides each against the sums of those before
-        it; as all lie below F + m, only those below F start a sum.
-        """
+        """The unique minimal generating system, computed once and cached (see :func:`_apery_pass`)."""
         if self._msg is None:
-            m = _multiplicity(self._mask)
-            f = self._frobenius
-            positive = ~self._mask & ((1 << (f + m + 1)) - 1) & ~1
-            msg = [m]
-            sums = 0
-            for w in _bits(positive & ~((positive | 1) << m)):  # nonzero Apery elements
-                if not (sums >> w) & 1:
-                    msg.append(w)
-                if w < f:
-                    sums |= positive << w
-            self._msg = tuple(msg)
+            self._msg = _apery_pass(self._mask, self._frobenius, True)
         return self._msg
 
     @property

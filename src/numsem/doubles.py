@@ -8,7 +8,8 @@ and H is a set of gaps of S, via
 T is a numerical semigroup exactly when H is an "upper m-set": the
 even + odd sums give the absorption condition, and the odd + odd sums
 give h + m and h1 + h2 + m in S.  So every label is decided by one
-test, the closure test of T's gap mask (:func:`numsem.core._is_closed`).
+test, the closure test of T's gap mask (:func:`numsem.core._apery_pass`),
+which for the doubles that are sorted also yields T's generators.
 Distinct pairs encode distinct semigroups, its Frobenius number has a
 closed form, and the pairs whose semigroup stays under a Frobenius
 bound can be enumerated exactly.  The empty H is vacuously valid and
@@ -24,7 +25,7 @@ frozensets.
 
 from typing import Iterable, Iterator
 
-from .core import DEFAULT_LIMIT, NumericalSemigroup, _bits, _is_closed, _mask_of, _members, _Record
+from .core import DEFAULT_LIMIT, NumericalSemigroup, _apery_pass, _bits, _mask_of, _Record
 from .errors import BadM, InvalidCertificate, NotASemigroup, NotGapSubset, TooLarge
 
 
@@ -84,7 +85,7 @@ def is_upper_m_set(
     under addition, so that closure test is what decides.
     """
     t = _label_mask(s, m, frozenset(candidate))
-    return _is_closed(t, t.bit_length() - 1)
+    return _apery_pass(t, t.bit_length() - 1) is not None
 
 
 def _principal_closures(gaps: int) -> list[tuple[int, int, int]]:
@@ -97,7 +98,7 @@ def _principal_closures(gaps: int) -> list[tuple[int, int, int]]:
     b is set iff a + b is a gap for some a.  For the closure of h it is
     ``gaps >> h``, as h + s + b a gap with s a member makes h + b one.
     """
-    members = _members(gaps)
+    members = ~gaps & ((1 << gaps.bit_length()) - 1)
     return [(c, gaps >> h, _spread(c)) for h in _bits(gaps) for c in [gaps & (members << h)]]
 
 
@@ -228,9 +229,10 @@ def doubles_bounded(
     """All (label, T) with T/2 == s and Frobenius(T) <= bound, sorted by T.
 
     The labelled view of :func:`_bounded_doubles`; each T is built
-    once, through the closure test of its gap mask.
+    once, through the one pass that tests its closure and finds the
+    generators it is sorted by.
     """
-    results = [(DoubleLabel(m, frozenset(_bits(h))), NumericalSemigroup._from_mask(t))
+    results = [(DoubleLabel(m, frozenset(_bits(h))), NumericalSemigroup._from_mask(t, True))
                for m, h, t in _bounded_doubles(s.gap_mask, bound)]
     results.sort(key=lambda pair: pair[1].min_generators)
     return results

@@ -12,7 +12,7 @@ from bisect import bisect_left
 from itertools import compress
 from typing import Iterable, Iterator
 
-from .core import _DIGIT_VALUES, NATURALS, NumericalSemigroup, _every_nth_bits, _Record
+from .core import _DIGIT_VALUES, NATURALS, NumericalSemigroup, _Record
 from .doubles import _bounded_doubles
 from .errors import PredicateNotClosed, UnknownFormat
 
@@ -65,7 +65,8 @@ def enumerate_tree(
 
     Starting from the full set, each node is expanded into its accepted
     bounded doubles until none is left; each double is built from its
-    gap mask, and so closure-checked, once.  The nodes are then sorted
+    gap mask once, by the one pass that checks its closure and finds the
+    generators it is sorted by.  The nodes are then sorted
     once, and filing them under their parents in that order leaves
     every children list canonical.  Completeness needs the
     predicate to be quotient-closed (each node's halving chain must stay
@@ -81,21 +82,24 @@ def enumerate_tree(
     root = NATURALS
     if not predicate.accepts(root):
         raise PredicateNotClosed(f"{predicate.name} rejects {root}")
-    nodes, parents = [root], [0]
+    nodes, parents, masks, gens = [root], [0], [root.gap_mask], [root.min_generators]
     for i, s in enumerate(nodes):  # grows while it is walked; a double is found only under its half
         if 2 * s.frobenius > bound:  # F(T) >= 2F(S): no doubles
             continue
-        for _, _, mask in _bounded_doubles(s.gap_mask, bound):
-            t = NumericalSemigroup._from_mask(mask)
+        for _, _, mask in _bounded_doubles(masks[i], bound):
+            t = NumericalSemigroup._from_mask(mask, True)  # closure-checked, generators cached
             if predicate.accepts(t):
                 nodes.append(t)
                 parents.append(i)
+                masks.append(mask)
+                gens.append(t._msg)
     positions = list(range(len(nodes)))  # children share these ints; new ones raised peak RSS
-    order = sorted(positions, key=lambda i: nodes[i].min_generators)  # nodes[order[r]] goes to r
+    order = sorted(positions, key=gens.__getitem__)  # nodes[order[r]] goes to r
     kids: list[list[int]] = [[] for _ in nodes]  # by walk index: the children's canonical positions
     for r, i in zip(positions[1:], order[1:]):  # the root <1> sorts first
-        t, p = nodes[i], nodes[parents[i]]
-        if _every_nth_bits(t.gap_mask, (2,))[0] != p.gap_mask:  # the gap mask of t.quotient(2)
+        digits = bin(masks[i])  # the gap mask of the half keeps the digits of the even bits
+        if int(digits[3 - len(digits) % 2::2], 2) != masks[parents[i]]:
+            t, p = nodes[i], nodes[parents[i]]
             raise PredicateNotClosed(f"{t} was found under {p}, not under its half")
         kids[parents[i]].append(r)
     return VarietyTree(bound, predicate.name, tuple(nodes[i] for i in order),
@@ -116,14 +120,15 @@ def _name(s: NumericalSemigroup, num: list[str]) -> str:
     return "<" + ",".join(map(num.__getitem__, s.min_generators)) + ">"
 
 
-def _json_node(s: NumericalSemigroup, num: list[str]) -> str:
-    """``NumericalSemigroup.to_json_dict`` inside the node list; the mask's digits pick the gaps."""
-    p, sep = "      ", ",\n        "
+def _json_node(s: NumericalSemigroup, items: list[str]) -> str:
+    """``to_json_dict`` in the node list: the mask's digits pick ``items[i]``, i after a separator."""
+    p = "      "
     digits = bin(s.gap_mask)[:1:-1].encode().translate(_DIGIT_VALUES)  # as in core._bits
-    f, m = s.frobenius, s.multiplicity
-    gaps = f"[\n{p}  {sep.join(compress(num, digits))}\n{p}]" if f > 0 else "[]"
+    gens = s.min_generators
+    f, m = s.frobenius, gens[0]
+    gaps = "[" + "".join(compress(items, digits))[1:] + f"\n{p}]" if f > 0 else "[]"
     return (
-        f'{{\n{p}"generators": [\n{p}  {sep.join(map(num.__getitem__, s.min_generators))}\n{p}],'
+        f'{{\n{p}"generators": [{"".join(map(items.__getitem__, gens))[1:]}\n{p}],'
         f'\n{p}"gaps": {gaps},'
         f'\n{p}"frobenius": {f},\n{p}"genus": {digits.count(1)},'
         f'\n{p}"multiplicity": {m},\n{p}"depth": {-(-(f + 1) // m)}\n    }}'
@@ -137,8 +142,9 @@ def _tree_json(tree: VarietyTree, num: list[str]) -> Iterator[str]:
     of positions of parent and child.  The pure-Python encoder that ``indent``
     selects costs more than the walk; the layout is fixed, so it is written here.
     """
+    items = [",\n        " + i for i in num]
     yield '{\n  "nodes": '
-    yield from _json_array((_json_node(s, num) for s in tree.nodes), "  ")
+    yield from _json_array((_json_node(s, items) for s in tree.nodes), "  ")
     yield ',\n  "edges": '
     yield from _json_array((f"[\n      {p},\n      {c}\n    ]"
                             for p, kids in enumerate(tree.children) for c in kids), "  ")
@@ -172,7 +178,7 @@ def _tree_pieces(tree: VarietyTree, format: str) -> Iterator[str]:
     """
     for name, render in (("text", _tree_text), ("dot", _tree_dot), ("json", _tree_json)):
         if format == name:
-            top = max(s.frobenius + s.multiplicity for s in tree.nodes)
+            top = max(s.frobenius + s.min_generators[0] for s in tree.nodes)
             return render(tree, list(map(str, range(top + 2))))
     raise UnknownFormat(f"unsupported tree format {format!r}")
 

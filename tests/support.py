@@ -9,8 +9,10 @@ closure, the classical removal tree instead of the tree of doubles, the
 exhaustive list instead of the doubles walk, inclusion scans of the
 whole extension family instead of its closed-form extremes, and the
 tree's JSON object for ``json.dumps``, indexed from its edges, instead of
-the hand-written JSON of its child positions, and subsets of the gaps with
-the minimal generators of each instead of gap submasks and quotient masks.
+the hand-written JSON of its child positions, subsets of the gaps with
+the minimal generators of each instead of gap submasks and quotient masks,
+and a double's minimal generators in closed form from its parent's and
+its label instead of the Apery pass over its own gap mask.
 """
 
 import itertools
@@ -101,6 +103,32 @@ def double_by_generators(s, m, upper_set):
     """The double encoded by (m, H), generated by 2*msg(S), m and 2H + m."""
     gens = [2 * a for a in s.min_generators] + [m] + [2 * x + m for x in upper_set]
     return NumericalSemigroup.from_generators(gens)
+
+
+def double_label(t):
+    """(S, m, H) of the double t != N over S = t/2: m is its least odd member, H the gaps x of S with 2x + m in t."""
+    s = t.quotient(2)
+    m = next(x for x in itertools.count(1, 2) if t.contains(x))
+    return s, m, {x for x in s.gaps if t.contains(2 * x + m)}
+
+
+def double_generators(s, m, h):
+    """Minimal generators of the double (m, H) over s, in closed form from msg(s) and H.
+
+    The double is 2S ∪ (2S + m) ∪ (2H + m).  An odd member 2y + m is
+    irreducible iff y is 0 or an element of H that is no other one plus
+    a nonzero member; an even member 2g is irreducible iff g is a minimal
+    generator of S other than m and g - m is not in H ∪ (H + H).
+    """
+    sums = set(h) | {a + b for a in h for b in h}
+    evens = {2 * g for g in s.min_generators if g != m and g - m not in sums}
+    odds = {2 * x + m for x in h if not any(x != y and s.contains(x - y) for y in h)}
+    return tuple(sorted({m} | evens | odds))
+
+
+def closed_form_mismatches(tree):
+    """The nodes of the tree but its root whose generators differ from the closed form."""
+    return [t for t in tree.nodes[1:] if double_generators(*double_label(t)) != t.min_generators]
 
 
 def filtered_children(s, bound, predicate):

@@ -17,7 +17,7 @@ from numsem import (
     all_semigroups_up_to,
     proportionally_modular,
 )
-from numsem.core import _bits, _is_closed
+from numsem.core import _apery_pass, _bits
 from support import naive_gap_set, naive_is_closed, naive_min_generators, semigroups
 
 NS = NumericalSemigroup
@@ -366,8 +366,11 @@ def _gap_masks():
 
 @given(_gap_masks())
 def test_is_closed_matches_pairwise_sums(mask):
+    """The Apery pass closure-checks a gap mask alike with and without generators."""
     gaps = {i for i in range(mask.bit_length()) if (mask >> i) & 1}
-    assert _is_closed(mask, mask.bit_length() - 1) == naive_is_closed(gaps)
+    for generators in (False, True):
+        found = _apery_pass(mask, mask.bit_length() - 1, generators)
+        assert (found is not None) == naive_is_closed(gaps), generators
 
 
 @given(semigroups(max_gen=30, max_count=5))
@@ -379,6 +382,39 @@ def test_min_generators_of_every_semigroup_up_to_frobenius_14():
     report = all_semigroups_up_to(14)
     for s in report.semigroups:
         assert s.min_generators == naive_min_generators(s), s.gaps
+
+
+def test_apery_pass_on_every_gap_mask_up_to_frobenius_14():
+    """Rejects exactly the masks that are not closed, and gives the generators of the rest."""
+    closed = 0
+    for mask in range(0, 1 << 15, 2):
+        gaps = set(_bits(mask))
+        frobenius = mask.bit_length() - 1
+        found = _apery_pass(mask, frobenius, True)
+        assert (found is not None) == naive_is_closed(gaps) == (_apery_pass(mask, frobenius) == ())
+        if found is not None:
+            closed += 1
+            assert found == naive_min_generators(NS._from_mask(mask)), gaps
+    assert closed == len(all_semigroups_up_to(14).semigroups)
+
+
+def _masks_to_frobenius_40():
+    """Semigroup gap masks with F <= 40, one gap more or less, and any even mask."""
+    masks = semigroups(max_gen=30).map(lambda s: s.gap_mask).filter(lambda g: g < 1 << 41)
+    return st.one_of(
+        masks,
+        st.tuples(masks, st.integers(1, 40)).map(lambda p: p[0] ^ (1 << p[1])),
+        st.integers(0, 2**40 - 1).map(lambda bits: bits << 1),
+    )
+
+
+@given(_masks_to_frobenius_40())
+def test_apery_pass_matches_pairwise_definitions(mask):
+    gaps = set(_bits(mask))
+    found = _apery_pass(mask, mask.bit_length() - 1, True)
+    assert (found is not None) == naive_is_closed(gaps)
+    if found is not None:
+        assert found == naive_min_generators(NS._from_mask(mask))
 
 
 def test_bits_of_large_and_sparse_masks():

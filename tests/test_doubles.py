@@ -191,14 +191,14 @@ class TestBuildDouble:
 
     def test_one_closure_test_per_double(self, monkeypatch):
         tested = []
-        real = core._is_closed
+        real = core._apery_pass
 
-        def counting(mask, frobenius):
+        def counting(mask, frobenius, generators=False):
             tested.append(mask)
-            return real(mask, frobenius)
+            return real(mask, frobenius, generators)
 
-        monkeypatch.setattr(core, "_is_closed", counting)
-        monkeypatch.setattr(doubles, "_is_closed", counting)
+        monkeypatch.setattr(core, "_apery_pass", counting)
+        monkeypatch.setattr(doubles, "_apery_pass", counting)
         build_double(S4511, 5, {3, 6, 7})
         with pytest.raises(InvalidCertificate):
             build_double(S4511, 5, {3})

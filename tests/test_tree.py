@@ -11,6 +11,7 @@ import numsem.tree as tree_module
 from numsem import (
     ALL_SEMIGROUPS,
     NATURALS,
+    NotASemigroup,
     NumericalSemigroup,
     PredicateNotClosed,
     TooLarge,
@@ -18,10 +19,17 @@ from numsem import (
     VarietyPredicate,
     all_semigroups_up_to,
     depth_predicate,
+    doubles_bounded,
     enumerate_tree,
     export_tree,
 )
-from support import filtered_children, random_semigroup, removal_tree, tree_json_dict
+from support import (
+    closed_form_mismatches,
+    filtered_children,
+    random_semigroup,
+    removal_tree,
+    tree_json_dict,
+)
 
 NS = NumericalSemigroup
 
@@ -171,14 +179,45 @@ class TestEnumerate:
         with pytest.raises(PredicateNotClosed):
             enumerate_tree(5)
 
+    @pytest.mark.parametrize(
+        "module, build",
+        [(tree_module, lambda: enumerate_tree(5)), (doubles_module, lambda: doubles_bounded(NATURALS, 5))],
+        ids=["enumerate_tree", "doubles_bounded"],
+    )
+    def test_a_double_that_is_not_closed_is_refused(self, monkeypatch, module, build):
+        """The pass that finds the generators still closure-checks every double."""
+        real = module._bounded_doubles
+
+        def with_stray(gaps, bound):
+            yield from real(gaps, bound)
+            if gaps == NATURALS.gap_mask:
+                yield 3, 0, 0b10010  # the gaps 1 and 4, but 2 + 2 = 4
+
+        monkeypatch.setattr(module, "_bounded_doubles", with_stray)
+        with pytest.raises(NotASemigroup):
+            build()
+
+    def test_nodes_cache_the_generators_of_a_fresh_build(self):
+        """Each node's generators, cached by the walk, are those of the same gaps built anew."""
+        preds = (ALL_SEMIGROUPS, *map(depth_predicate, range(4)))
+        for bound, pred in ((b, p) for b in range(1, 21) for p in preds):
+            for s in enumerate_tree(bound, pred).nodes[1:]:
+                assert s._msg == NS(s.gaps).min_generators, (bound, pred.name, s.gaps)
+
+    def test_generators_match_the_closed_form_of_a_double(self):
+        """Every double to F <= 22 has the generators its parent's and its label give."""
+        tree = enumerate_tree(22)
+        assert len(tree.nodes) - 1 == 7256
+        assert closed_form_mismatches(tree) == []
+
     def test_walk_builds_each_double_once_and_no_label(self, monkeypatch):
         """One ``_from_mask`` per bounded double of an accepted node, no ``DoubleLabel``."""
         real = NS._from_mask.__func__
         built, labels = [], []
 
-        def counting(cls, mask):
+        def counting(cls, mask, generators=False):
             built.append(mask)
-            return real(cls, mask)
+            return real(cls, mask, generators)
 
         preds = (ALL_SEMIGROUPS, *map(depth_predicate, range(4)))
         for bound, pred in ((b, p) for b in range(1, 15) for p in preds):
