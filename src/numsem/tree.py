@@ -122,16 +122,14 @@ def _name(s: NumericalSemigroup, num: list[str]) -> str:
 
 def _json_node(s: NumericalSemigroup, items: list[str]) -> str:
     """``to_json_dict`` in the node list: the mask's digits pick ``items[i]``, i after a separator."""
-    p = "      "
     digits = bin(s.gap_mask)[:1:-1].encode().translate(_DIGIT_VALUES)  # as in core._bits
     gens = s.min_generators
     f, m = s.frobenius, gens[0]
-    gaps = "[" + "".join(compress(items, digits))[1:] + f"\n{p}]" if f > 0 else "[]"
+    gaps = f'[{"".join(compress(items, digits))[1:]}\n      ]' if f > 0 else "[]"
     return (
-        f'{{\n{p}"generators": [{"".join(map(items.__getitem__, gens))[1:]}\n{p}],'
-        f'\n{p}"gaps": {gaps},'
-        f'\n{p}"frobenius": {f},\n{p}"genus": {digits.count(1)},'
-        f'\n{p}"multiplicity": {m},\n{p}"depth": {-(-(f + 1) // m)}\n    }}'
+        f'{{\n      "generators": [{"".join(map(items.__getitem__, gens))[1:]}\n      ],'
+        f'\n      "gaps": {gaps},\n      "frobenius": {f},\n      "genus": {digits.count(1)},'
+        f'\n      "multiplicity": {m},\n      "depth": {-(-(f + 1) // m)}\n    }}'
     )
 
 
