@@ -10,9 +10,9 @@ are bit operations on masks: membership is a bit test, intersection is
 OR, inclusion a subset test, the genus a bit count and a quotient by d
 keeps every d-th bit.  Every construction validates additive closure
 with one pass over the Apery set of the multiplicity (:func:`_apery_pass`),
-which also finds the minimal generating system when asked; else it is
-derived on first use, as are the multiplicity and the depth, and
-``gaps`` and ``gap_set`` are views of the mask.
+which also finds the minimal generating system the instance keeps.  The
+multiplicity and the depth are derived from the mask on use, and
+``gaps`` and ``gap_set`` are views of it.
 
 Instances are immutable and hashable, so they can be shared freely
 between threads or tasks; every operation is a pure function returning
@@ -125,38 +125,26 @@ def _multiplicity(mask: int) -> int:
     return (~low & (low + 1)).bit_length() - 1
 
 
-def _apery_pass(mask: int, frobenius: int, generators: bool = False) -> tuple[int, ...] | None:
-    """None unless the complement of the gap mask is closed under addition.
+def _apery_pass(mask: int, frobenius: int) -> tuple[int, ...] | None:
+    """The minimal generators, or None unless the complement of the gap mask is closed.
 
-    Otherwise the minimal generators with ``generators``, else ().  With
-    m the multiplicity, every member is w + k*m for w in the Apery set
-    of m (members w with w - m not a member).  So once the member mask
-    shifted by m misses the gaps, a sum that is a gap g <= F is
-    w + (b + k*m) with b + k*m a member and w <= F/2: the shifts by m
-    and by the nonzero Apery elements w <= F/2 cover every pair, and
-    sums above F are members.  The minimal generators are m and the
-    nonzero Apery elements that are no other one plus a nonzero member.
-    One ascending pass decides each against the sums of those before
-    it; as all lie below F + m, only those below F start a sum.  Those
-    shifts include the ones the closure needs, and a gap among the others
-    is a sum of members too, so with ``generators`` their union is ANDed
-    with the gaps once, at the end.
+    With m the multiplicity, every member is w + k*m for w in the Apery
+    set of m (members w with w - m not a member).  The generators are m
+    and the nonzero Apery elements that are no sum a + b of two nonzero
+    members; a and b are then Apery elements (else a + b - m would be a
+    member), the smaller at most (F + m)/2.  So the member mask shifted
+    by m and by those elements holds every such sum.  The shifts by m
+    and by the Apery elements up to F/2 already catch any sum of members
+    that is a gap, and every shifted bit is a sum, so one AND with the
+    gaps decides closure.
     """
     m = _multiplicity(mask)
     positive = ~mask & ((1 << (frobenius + m + 1)) - 2)  # the nonzero members up to F + m
     apery = positive & ~((positive | 1) << m)  # the nonzero Apery elements, all above m
-    if not generators:
-        for a in (m, *_bits(apery & ((1 << (frobenius // 2 + 1)) - 1))):
-            if (positive << a) & mask:
-                return None
-        return ()
-    msg, sums = [m], positive << m
-    for w in _bits(apery):
-        if not (sums >> w) & 1:
-            msg.append(w)
-        if w < frobenius:
-            sums |= positive << w
-    return None if sums & mask else tuple(msg)
+    sums = positive << m
+    for a in _bits(apery & ((1 << ((frobenius + m) // 2 + 1)) - 1)):
+        sums |= positive << a
+    return None if sums & mask else (m, *_bits(apery & ~sums))
 
 
 @total_ordering
@@ -168,12 +156,12 @@ class NumericalSemigroup:
     def __init__(self, gaps: Iterable[int] = ()) -> None:
         self._set_mask(_mask_of(gaps))
 
-    def _set_mask(self, mask: int, generators: bool = False) -> None:
-        # the one validation path of every construction; ``generators`` caches them too
+    def _set_mask(self, mask: int) -> None:
+        # the one validation path of every construction, which caches the generators
         frobenius = mask.bit_length() - 1
         if mask & 1:
             raise NotASemigroup("gaps must be positive integers")
-        msg = _apery_pass(mask, frobenius, generators)
+        msg = _apery_pass(mask, frobenius)
         if msg is None:
             raise NotASemigroup(
                 f"the members of the gap set with Frobenius number {frobenius}"
@@ -181,13 +169,13 @@ class NumericalSemigroup:
             )
         self._mask = mask
         self._frobenius = frobenius
-        self._msg: tuple[int, ...] | None = msg or None
+        self._msg = msg
 
     @classmethod
-    def _from_mask(cls, mask: int, generators: bool = False) -> "NumericalSemigroup":
+    def _from_mask(cls, mask: int) -> "NumericalSemigroup":
         """Build from a gap mask (bit i set iff i is a gap), validating closure."""
         s = cls.__new__(cls)
-        s._set_mask(mask, generators)
+        s._set_mask(mask)
         return s
 
     def __reduce__(self) -> tuple:
@@ -276,9 +264,7 @@ class NumericalSemigroup:
 
     @property
     def min_generators(self) -> tuple[int, ...]:
-        """The unique minimal generating system, computed once and cached (see :func:`_apery_pass`)."""
-        if self._msg is None:
-            self._msg = _apery_pass(self._mask, self._frobenius, True)
+        """The unique minimal generating system, found at construction (see :func:`_apery_pass`)."""
         return self._msg
 
     @property

@@ -9,7 +9,7 @@ T is a numerical semigroup exactly when H is an "upper m-set": the
 even + odd sums give the absorption condition, and the odd + odd sums
 give h + m and h1 + h2 + m in S.  So every label is decided by one
 test, the closure test of T's gap mask (:func:`numsem.core._apery_pass`),
-which for the doubles that are sorted also yields T's generators.
+which also yields T's generators.
 Distinct pairs encode distinct semigroups, its Frobenius number has a
 closed form, and the pairs whose semigroup stays under a Frobenius
 bound can be enumerated exactly.  The empty H is vacuously valid and
@@ -232,7 +232,7 @@ def doubles_bounded(
     once, through the one pass that tests its closure and finds the
     generators it is sorted by.
     """
-    results = [(DoubleLabel(m, frozenset(_bits(h))), NumericalSemigroup._from_mask(t, True))
+    results = [(DoubleLabel(m, frozenset(_bits(h))), NumericalSemigroup._from_mask(t))
                for m, h, t in _bounded_doubles(s.gap_mask, bound)]
     results.sort(key=lambda pair: pair[1].min_generators)
     return results

@@ -87,7 +87,7 @@ def enumerate_tree(
         if 2 * s.frobenius > bound:  # F(T) >= 2F(S): no doubles
             continue
         for _, _, mask in _bounded_doubles(masks[i], bound):
-            t = NumericalSemigroup._from_mask(mask, True)  # closure-checked, generators cached
+            t = NumericalSemigroup._from_mask(mask)  # closure-checked, generators cached
             if predicate.accepts(t):
                 nodes.append(t)
                 parents.append(i)

@@ -1,4 +1,5 @@
 import math
+import pickle
 import tracemalloc
 
 import pytest
@@ -15,10 +16,19 @@ from numsem import (
     NumericalSemigroup,
     TooLarge,
     all_semigroups_up_to,
+    build_double,
     proportionally_modular,
+    smallest_variety,
 )
+from numsem import core
 from numsem.core import _apery_pass, _bits
-from support import naive_gap_set, naive_is_closed, naive_min_generators, semigroups
+from support import (
+    double_generators,
+    naive_gap_set,
+    naive_is_closed,
+    naive_min_generators,
+    semigroups,
+)
 
 NS = NumericalSemigroup
 
@@ -366,11 +376,9 @@ def _gap_masks():
 
 @given(_gap_masks())
 def test_is_closed_matches_pairwise_sums(mask):
-    """The Apery pass closure-checks a gap mask alike with and without generators."""
+    """The Apery pass rejects a gap mask exactly when a sum of two members is a gap."""
     gaps = {i for i in range(mask.bit_length()) if (mask >> i) & 1}
-    for generators in (False, True):
-        found = _apery_pass(mask, mask.bit_length() - 1, generators)
-        assert (found is not None) == naive_is_closed(gaps), generators
+    assert (_apery_pass(mask, mask.bit_length() - 1) is not None) == naive_is_closed(gaps)
 
 
 @given(semigroups(max_gen=30, max_count=5))
@@ -390,8 +398,8 @@ def test_apery_pass_on_every_gap_mask_up_to_frobenius_14():
     for mask in range(0, 1 << 15, 2):
         gaps = set(_bits(mask))
         frobenius = mask.bit_length() - 1
-        found = _apery_pass(mask, frobenius, True)
-        assert (found is not None) == naive_is_closed(gaps) == (_apery_pass(mask, frobenius) == ())
+        found = _apery_pass(mask, frobenius)
+        assert (found is not None) == naive_is_closed(gaps)
         if found is not None:
             closed += 1
             assert found == naive_min_generators(NS._from_mask(mask)), gaps
@@ -411,7 +419,7 @@ def _masks_to_frobenius_40():
 @given(_masks_to_frobenius_40())
 def test_apery_pass_matches_pairwise_definitions(mask):
     gaps = set(_bits(mask))
-    found = _apery_pass(mask, mask.bit_length() - 1, True)
+    found = _apery_pass(mask, mask.bit_length() - 1)
     assert (found is not None) == naive_is_closed(gaps)
     if found is not None:
         assert found == naive_min_generators(NS._from_mask(mask))
@@ -420,3 +428,47 @@ def test_apery_pass_matches_pairwise_definitions(mask):
 def test_bits_of_large_and_sparse_masks():
     for x in (0, 1, 2, 5, 1 << 200, (1 << 300) - 1, (1 << 1000) | (1 << 7) | 1):
         assert _bits(x) == [i for i in range(x.bit_length()) if (x >> i) & 1]
+
+
+# -- generators found at construction ----------------------------------
+
+S5_7_9 = NS.from_generators([5, 7, 9])
+
+
+def _built_by_every_route():
+    """(route, semigroups) for each way the package builds a semigroup."""
+    s4511 = NS.from_generators([4, 5, 11])
+    return [
+        ("gaps", [NS([1, 2, 3, 4, 6, 8, 11, 13]), NS()]),
+        ("from_generators", [S5_7_9, NS.from_generators([6, 10, 15])]),
+        ("quotient", [S5_7_9.quotient(d) for d in (1, 2, 3, 13)]),
+        ("intersect", [S5_7_9 & NS.from_generators([3, 7]), NATURALS & S5_7_9]),
+        ("build_double", [build_double(s4511, 5, {3, 6, 7}), build_double(s4511, 9, ())]),
+        ("pickle", [pickle.loads(pickle.dumps(s)) for s in (S5_7_9, NATURALS)]),
+        ("smallest_variety", list(smallest_variety([S5_7_9, s4511]))),
+        ("all_semigroups_up_to", list(all_semigroups_up_to(8).semigroups)),
+    ]
+
+
+def test_every_construction_caches_its_generators(monkeypatch):
+    """Each route keeps the generators it found; reading, printing and sorting find none again."""
+    routes = _built_by_every_route()
+    for route, built in routes:
+        for s in built:
+            assert s._msg == naive_min_generators(s), (route, s.gaps)
+    passes = []
+    monkeypatch.setattr(core, "_apery_pass", lambda *args: passes.append(args))
+    for route, built in routes:
+        assert [s.min_generators for s in built] == [s._msg for s in built]
+        assert [str(s) for s in built] == [f"<{','.join(map(str, s._msg))}>" for s in built]
+        sorted(built)
+        assert passes == [], route
+
+
+def test_generators_of_semigroups_with_about_a_million_gaps():
+    """Minimal generating sets come back unchanged, and a double of <200,201> has the closed form."""
+    for gens in ((1000, 1001), (997, 1009, 1013), (1000, 1001, 1002, 1003)):
+        assert NS.from_generators(gens).min_generators == gens
+    s = NS.from_generators([200, 201])
+    for m, h in ((201, set()), (39801, {x for x in s.gaps if x >= 39000})):
+        assert build_double(s, m, h).min_generators == double_generators(s, m, h)

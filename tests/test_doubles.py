@@ -193,9 +193,9 @@ class TestBuildDouble:
         tested = []
         real = core._apery_pass
 
-        def counting(mask, frobenius, generators=False):
+        def counting(mask, frobenius):
             tested.append(mask)
-            return real(mask, frobenius, generators)
+            return real(mask, frobenius)
 
         monkeypatch.setattr(core, "_apery_pass", counting)
         monkeypatch.setattr(doubles, "_apery_pass", counting)

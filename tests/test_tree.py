@@ -215,9 +215,9 @@ class TestEnumerate:
         real = NS._from_mask.__func__
         built, labels = [], []
 
-        def counting(cls, mask, generators=False):
+        def counting(cls, mask):
             built.append(mask)
-            return real(cls, mask, generators)
+            return real(cls, mask)
 
         preds = (ALL_SEMIGROUPS, *map(depth_predicate, range(4)))
         for bound, pred in ((b, p) for b in range(1, 15) for p in preds):
