@@ -432,27 +432,20 @@ def test_bits_of_large_and_sparse_masks():
 
 # -- generators found at construction ----------------------------------
 
-S5_7_9 = NS.from_generators([5, 7, 9])
-
-
-def _built_by_every_route():
-    """(route, semigroups) for each way the package builds a semigroup."""
-    s4511 = NS.from_generators([4, 5, 11])
-    return [
-        ("gaps", [NS([1, 2, 3, 4, 6, 8, 11, 13]), NS()]),
-        ("from_generators", [S5_7_9, NS.from_generators([6, 10, 15])]),
-        ("quotient", [S5_7_9.quotient(d) for d in (1, 2, 3, 13)]),
-        ("intersect", [S5_7_9 & NS.from_generators([3, 7]), NATURALS & S5_7_9]),
-        ("build_double", [build_double(s4511, 5, {3, 6, 7}), build_double(s4511, 9, ())]),
-        ("pickle", [pickle.loads(pickle.dumps(s)) for s in (S5_7_9, NATURALS)]),
-        ("smallest_variety", list(smallest_variety([S5_7_9, s4511]))),
-        ("all_semigroups_up_to", list(all_semigroups_up_to(8).semigroups)),
-    ]
-
 
 def test_every_construction_caches_its_generators(monkeypatch):
     """Each route keeps the generators it found; reading, printing and sorting find none again."""
-    routes = _built_by_every_route()
+    s579, s4511 = NS.from_generators([5, 7, 9]), NS.from_generators([4, 5, 11])
+    routes = [
+        ("gaps", [NS([1, 2, 3, 4, 6, 8, 11, 13]), NS()]),
+        ("from_generators", [s579, NS.from_generators([6, 10, 15])]),
+        ("quotient", [s579.quotient(d) for d in (1, 2, 3, 13)]),
+        ("intersect", [s579 & NS.from_generators([3, 7]), NATURALS & s579]),
+        ("build_double", [build_double(s4511, 5, {3, 6, 7}), build_double(s4511, 9, ())]),
+        ("pickle", [pickle.loads(pickle.dumps(s)) for s in (s579, NATURALS)]),
+        ("smallest_variety", list(smallest_variety([s579, s4511]))),
+        ("all_semigroups_up_to", list(all_semigroups_up_to(8).semigroups)),
+    ]
     for route, built in routes:
         for s in built:
             assert s._msg == naive_min_generators(s), (route, s.gaps)
