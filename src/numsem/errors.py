@@ -42,7 +42,7 @@ class InvalidCertificate(SemigroupError):
 
 
 class PredicateNotClosed(SemigroupError):
-    """A tree walk met a rejected root or a child filed under a node not its half."""
+    """The predicate of a tree walk rejects the root."""
 
 
 class BoundTooLarge(SemigroupError):

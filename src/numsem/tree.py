@@ -74,45 +74,36 @@ def enumerate_tree(
     silently loses the accepted descendants of every rejected node, so
     rejecting only <2,3> leaves 5 of the 16 nodes at bound 6, with no
     error.  :class:`PredicateNotClosed` is raised only when the
-    predicate rejects the root, or when the post-walk check finds a
-    node whose half-quotient is not the node it was found under.
+    predicate rejects the root.
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
     root = NATURALS
     if not predicate.accepts(root):
         raise PredicateNotClosed(f"{predicate.name} rejects {root}")
-    nodes, parents, masks, gens = [root], [0], [root.gap_mask], [root.min_generators]
+    nodes, parents = [root], [0]
     for i, s in enumerate(nodes):  # grows while it is walked; a double is found only under its half
-        if 2 * s.frobenius > bound:  # F(T) >= 2F(S): no doubles
-            continue
-        for _, _, mask in _bounded_doubles(masks[i], bound):
+        for _, _, mask in _bounded_doubles(s.gap_mask, bound):
             t = NumericalSemigroup._from_mask(mask)  # closure-checked, generators cached
             if predicate.accepts(t):
                 nodes.append(t)
                 parents.append(i)
-                masks.append(mask)
-                gens.append(t._msg)
     positions = list(range(len(nodes)))  # children share these ints; new ones raised peak RSS
-    order = sorted(positions, key=gens.__getitem__)  # nodes[order[r]] goes to r
+    order = sorted(positions, key=lambda i: nodes[i]._msg)  # nodes[order[r]] goes to r
     kids: list[list[int]] = [[] for _ in nodes]  # by walk index: the children's canonical positions
     for r, i in zip(positions[1:], order[1:]):  # the root <1> sorts first
-        digits = bin(masks[i])  # the gap mask of the half keeps the digits of the even bits
-        if int(digits[3 - len(digits) % 2::2], 2) != masks[parents[i]]:
-            t, p = nodes[i], nodes[parents[i]]
-            raise PredicateNotClosed(f"{t} was found under {p}, not under its half")
         kids[parents[i]].append(r)
     return VarietyTree(bound, predicate.name, tuple(nodes[i] for i in order),
                        tuple(tuple(kids[i]) for i in order))
 
 
-def _json_array(items: Iterable[str], pad: str) -> Iterator[str]:
-    """A JSON array of ``items`` in pieces, laid out as ``json.dumps(..., indent=2)`` at ``pad``."""
-    head = "[\n" + pad + "  "
+def _json_array(items: Iterable[str]) -> Iterator[str]:
+    """A top-level key's array of ``items`` in pieces, laid out as ``json.dumps(..., indent=2)``."""
+    head = "[\n    "
     for item in items:
         yield head + item
-        head = ",\n" + pad + "  "
-    yield "[]" if head[0] == "[" else "\n" + pad + "]"
+        head = ",\n    "
+    yield "[]" if head[0] == "[" else "\n  ]"
 
 
 def _name(s: NumericalSemigroup, num: list[str]) -> str:
@@ -142,10 +133,10 @@ def _tree_json(tree: VarietyTree, num: list[str]) -> Iterator[str]:
     """
     items = [",\n        " + i for i in num]
     yield '{\n  "nodes": '
-    yield from _json_array((_json_node(s, items) for s in tree.nodes), "  ")
+    yield from _json_array(_json_node(s, items) for s in tree.nodes)
     yield ',\n  "edges": '
-    yield from _json_array((f"[\n      {p},\n      {c}\n    ]"
-                            for p, kids in enumerate(tree.children) for c in kids), "  ")
+    yield from _json_array(f"[\n      {p},\n      {c}\n    ]"
+                           for p, kids in enumerate(tree.children) for c in kids)
     yield "\n}\n"
 
 

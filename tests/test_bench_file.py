@@ -57,6 +57,17 @@ def test_unpaired_seeds_are_refused(tmp_path):
         ])
 
 
+def test_a_single_pair_is_refused_by_name(tmp_path):
+    write_runs(tmp_path / "parent", "variety", [0.2])
+    write_runs(tmp_path / "change", "variety", [0.2])
+    with pytest.raises(SystemExit, match="variety: 1 pair of runs"):
+        bench_file.main([
+            "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+            "--parent-sha", "p", "--change-sha", "c", "--output", str(tmp_path / "b.json"),
+        ])
+    assert not (tmp_path / "b.json").exists()
+
+
 def test_the_bytecode_setting_is_recorded(tmp_path, monkeypatch):
     write_runs(tmp_path / "parent", "variety", [0.2, 0.3])
     write_runs(tmp_path / "change", "variety", [0.2, 0.3])

@@ -165,19 +165,14 @@ class TestEnumerate:
         with pytest.raises(PredicateNotClosed):
             enumerate_tree(5, VarietyPredicate("no-root", lambda s: s != NATURALS))
 
-    def test_edge_check_fires(self, monkeypatch):
-        # a child attached to a node that is not its half is refused
-        real = tree_module._bounded_doubles
-        stray = NS.from_generators([3, 4, 5])  # its half is <2,3>
-
-        def with_stray(gaps, bound):
-            yield from real(gaps, bound)
-            if gaps == NATURALS.gap_mask:
-                yield None, None, stray.gap_mask
-
-        monkeypatch.setattr(tree_module, "_bounded_doubles", with_stray)
-        with pytest.raises(PredicateNotClosed):
-            enumerate_tree(5)
+    def test_a_predicate_that_is_not_quotient_closed_loses_descendants_silently(self):
+        """Rejecting only <2,3> drops its descendants at bound 6, and nothing is raised."""
+        no_23 = VarietyPredicate("not-<2,3>", lambda s: s != NS.from_generators([2, 3]))
+        tree = enumerate_tree(6, no_23)
+        assert [s.min_generators for s in tree.nodes] == [
+            (1,), (2, 5), (2, 7), (4, 5, 7), (4, 7, 9, 10)
+        ]
+        assert len(enumerate_tree(6).nodes) == 16
 
     @pytest.mark.parametrize(
         "module, build",
@@ -205,10 +200,11 @@ class TestEnumerate:
                 assert s._msg == NS(s.gaps).min_generators, (bound, pred.name, s.gaps)
 
     def test_generators_match_the_closed_form_of_a_double(self):
-        """Every double to F <= 22 has the generators its parent's and its label give."""
+        """Every double to F <= 22 halves to its parent and has the closed form's generators."""
         tree = enumerate_tree(22)
-        assert len(tree.nodes) - 1 == 7256
+        assert len(tree.nodes) - 1 == len(tree.edges) == 7256
         assert closed_form_mismatches(tree) == []
+        assert all(c.quotient(2) == p for p, c in tree.edges)
 
     def test_walk_builds_each_double_once_and_no_label(self, monkeypatch):
         """One ``_from_mask`` per bounded double of an accepted node, no ``DoubleLabel``."""

@@ -73,6 +73,8 @@ def build(args: argparse.Namespace) -> dict:
         paired = sorted(set(parent[name]) & set(change[name]))
         if len(paired) != len(parent[name]) or len(paired) != len(change[name]):
             raise SystemExit(f"{name}: the seeds of the two sides differ")
+        if len(paired) < 2:
+            raise SystemExit(f"{name}: {len(paired)} pair of runs; the quartiles need at least 2")
         seeds.update(paired)
         p = [parent[name][s] for s in paired]
         c = [change[name][s] for s in paired]
