@@ -80,8 +80,20 @@ _DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")  # binary digits to the bytes 0 
 
 
 def _bits(x: int) -> list[int]:
-    """Positions of the set bits of ``x >= 0``, ascending, selected by its digits in C."""
-    return list(compress(count(), bin(x)[:1:-1].encode().translate(_DIGIT_VALUES)))
+    """Positions of the set bits of ``x >= 0``, ascending.
+
+    Up to eight bits are peeled off one at a time, lowest first, which
+    costs less than the fixed string work of selecting by the binary digits
+    in C; past that, the digits are selected.
+    """
+    if x.bit_count() > 8:
+        return list(compress(count(), bin(x)[:1:-1].encode().translate(_DIGIT_VALUES)))
+    found = []
+    while x:
+        low = x & -x
+        found.append(low.bit_length() - 1)
+        x ^= low
+    return found
 
 
 def _every_nth_bits(x: int, divisors: Iterable[int]) -> list[int]:

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -211,6 +212,25 @@ class TestDeterminismAndOutput:
             finally:
                 tracemalloc.stop()
         assert peak - held[0] < size / 2
+
+    def test_tree_is_written_in_chunks(self, monkeypatch, tmp_path):
+        """Each write to stdout or ``--output`` carries about a buffer, not a node or an edge."""
+
+        class Recorder(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                return super().write(text)
+
+        tree = enumerate_tree(16)
+        monkeypatch.setattr(cli, "open", lambda *args, **kwargs: Recorder(), raising=False)
+        for fmt in ("json", "text", "dot"):
+            text = export_tree(tree, fmt)
+            for extra in ((), ("--output", str(tmp_path / "tree.out"))):
+                writes = []
+                monkeypatch.setattr(sys, "stdout", Recorder())
+                assert main(["tree", "--frobenius-bound", "16", "--format", fmt, *extra]) == 0
+                assert "".join(writes) == text
+                assert len(writes) <= len(text) // 8192 + 2, (fmt, extra, len(writes))
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_a_full_stdout_is_one(self):

@@ -1,5 +1,6 @@
 import math
 import pickle
+import time
 import tracemalloc
 
 import pytest
@@ -406,17 +407,48 @@ def test_apery_pass_on_every_gap_mask_up_to_frobenius_14():
     assert closed == len(all_semigroups_up_to(14).semigroups)
 
 
-def _masks_to_frobenius_40():
-    """Semigroup gap masks with F <= 40, one gap more or less, and any even mask."""
-    masks = semigroups(max_gen=30).map(lambda s: s.gap_mask).filter(lambda g: g < 1 << 41)
+def _closed_mask(frobenius, start, wanted):
+    """Gap mask of a semigroup with that Frobenius number.
+
+    Each wanted member from ``start`` up is kept when the set it generates
+    with the members kept before it still misses ``frobenius``.
+    """
+    full = (1 << (frobenius + 1)) - 1
+    members = 1
+    for x in range(start, frobenius):
+        if (wanted >> x) & 1:
+            grown, shifted = members, members
+            while shifted:  # members + x, 2x, ... up to F
+                shifted = (shifted << x) & full
+                grown |= shifted
+            if not (grown >> frobenius) & 1:
+                members = grown
+    return full & ~members
+
+
+def _masks_to_frobenius_80():
+    """Semigroup gap masks with F <= 40 or from 50 to 80, one gap more or less, and even masks.
+
+    From F = 50 on, a large multiplicity m gives many generators, and an even
+    mask that holds every number below m gives many Apery elements up to
+    (F + m)/2: both lists that ``_bits`` reads run from none to dozens of
+    bits, on both of its paths.
+    """
+    masks = st.one_of(
+        semigroups(max_gen=30).map(lambda s: s.gap_mask).filter(lambda g: g < 1 << 41),
+        st.builds(_closed_mask, st.integers(50, 80), st.integers(2, 80), st.integers(0, 2**80 - 1)),
+    )
     return st.one_of(
         masks,
         st.tuples(masks, st.integers(1, 40)).map(lambda p: p[0] ^ (1 << p[1])),
         st.integers(0, 2**40 - 1).map(lambda bits: bits << 1),
+        st.builds(lambda f, m, bits: (1 << f) | ((1 << m) - 2) | (bits & ((1 << f) - 2)),
+                  st.integers(50, 80), st.integers(1, 40), st.integers(0, 2**80 - 1)),
     )
 
 
-@given(_masks_to_frobenius_40())
+@settings(max_examples=300)
+@given(_masks_to_frobenius_80())
 def test_apery_pass_matches_pairwise_definitions(mask):
     gaps = set(_bits(mask))
     found = _apery_pass(mask, mask.bit_length() - 1)
@@ -425,9 +457,26 @@ def test_apery_pass_matches_pairwise_definitions(mask):
         assert found == naive_min_generators(NS._from_mask(mask))
 
 
+def _digit_bits(x):
+    return [i for i in range(x.bit_length()) if (x >> i) & 1]
+
+
 def test_bits_of_large_and_sparse_masks():
-    for x in (0, 1, 2, 5, 1 << 200, (1 << 300) - 1, (1 << 1000) | (1 << 7) | 1):
-        assert _bits(x) == [i for i in range(x.bit_length()) if (x >> i) & 1]
+    """Both paths: a few bits are peeled, more than eight are read from the digits."""
+    words = (2**62, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1, 0x5555_5555_5555_5555)
+    spans = [(1 << n) - 1 for n in (7, 8, 9, 63, 64)]
+    sparse = [sum(1 << (i * step) for i in range(n)) for n in (8, 9) for step in (1, 7, 400)]
+    for x in (0, 1, 2, 5, 1 << 200, (1 << 300) - 1, (1 << 1000) | (1 << 7) | 1,
+              *words, *spans, *sparse):
+        assert _bits(x) == _digit_bits(x), x
+
+
+@given(st.one_of(
+    st.integers(0, 2**300 - 1),
+    st.sets(st.integers(0, 299), max_size=12).map(lambda bits: sum(1 << i for i in bits)),
+))
+def test_bits_match_the_digits(x):
+    assert _bits(x) == _digit_bits(x)
 
 
 # -- generators found at construction ----------------------------------
@@ -465,3 +514,12 @@ def test_generators_of_semigroups_with_about_a_million_gaps():
     s = NS.from_generators([200, 201])
     for m, h in ((201, set()), (39801, {x for x in s.gaps if x >= 39000})):
         assert build_double(s, m, h).min_generators == double_generators(s, m, h)
+
+
+def test_double_with_three_million_bits_is_quick():
+    """About 0.5 s; a big-int multiply per listed bit of its Apery pass took it to 14-22 s."""
+    s = NS.from_generators([1000, 1001])
+    start = time.monotonic()
+    t = build_double(s, 999001, ())
+    assert time.monotonic() - start < 10
+    assert t.min_generators == (2000, 2002, 999001)
