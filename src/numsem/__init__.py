@@ -15,57 +15,39 @@ API changes in 0.3.0: a ``VarietyTree`` keeps ``children`` as positions in ``nod
 holds ``(bound, semigroups)`` and derives ``counts_by_frobenius``.
 """
 
-from .core import (
-    DEFAULT_LIMIT,
-    Invariants,
-    NATURALS,
-    NumericalSemigroup,
-    proportionally_modular,
-)
-from .doubles import (
-    DoubleLabel,
-    build_double,
-    doubles_bounded,
-    frobenius_of_double,
-    is_upper_m_set,
-    upper_m_sets,
-)
-from .errors import (
-    BadM,
-    BoundTooLarge,
-    GcdNotOne,
-    InvalidCertificate,
-    IsNaturals,
-    NonPositiveDivisor,
-    NotASemigroup,
-    NotGapSubset,
-    PredicateNotClosed,
-    SemigroupError,
-    TooLarge,
-    UnknownFormat,
-)
-from .oracle import (
-    ENUMERATION_CAP,
-    EnumerationReport,
-    all_semigroups_up_to,
-    extension_oracle,
-)
-from .tree import (
-    ALL_SEMIGROUPS,
-    VarietyPredicate,
-    VarietyTree,
-    depth_predicate,
-    enumerate_tree,
-    export_tree,
-)
-from .varieties import (
-    ExtremalElements,
-    VarietySet,
-    arithmetic_extensions,
-    extremal_elements,
-    is_arithmetic_extension,
-    monoid_hull,
-    smallest_variety,
-)
+import importlib as _importlib
 
+# Each public name and the module that defines it; a name's module is imported
+# on first use (PEP 562), so ``import numsem`` alone loads no submodule.
+_HOME = {
+    "DEFAULT_LIMIT": "core", "Invariants": "core", "NATURALS": "core",
+    "NumericalSemigroup": "core", "proportionally_modular": "core",
+    "DoubleLabel": "doubles", "build_double": "doubles", "doubles_bounded": "doubles",
+    "frobenius_of_double": "doubles", "is_upper_m_set": "doubles", "upper_m_sets": "doubles",
+    "BadM": "errors", "BoundTooLarge": "errors", "GcdNotOne": "errors",
+    "InvalidCertificate": "errors", "IsNaturals": "errors", "NonPositiveDivisor": "errors",
+    "NotASemigroup": "errors", "NotGapSubset": "errors", "PredicateNotClosed": "errors",
+    "SemigroupError": "errors", "TooLarge": "errors", "UnknownFormat": "errors",
+    "ENUMERATION_CAP": "oracle", "EnumerationReport": "oracle",
+    "all_semigroups_up_to": "oracle", "extension_oracle": "oracle",
+    "ALL_SEMIGROUPS": "tree", "VarietyPredicate": "tree", "VarietyTree": "tree",
+    "depth_predicate": "tree", "enumerate_tree": "tree", "export_tree": "tree",
+    "ExtremalElements": "varieties", "VarietySet": "varieties",
+    "arithmetic_extensions": "varieties", "extremal_elements": "varieties",
+    "is_arithmetic_extension": "varieties", "monoid_hull": "varieties",
+    "smallest_variety": "varieties",
+}
+__all__ = sorted(_HOME)
 __version__ = "0.3.0"
+
+
+def __getattr__(name: str) -> object:
+    """Import the module that defines ``name`` and bind the name here."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(_importlib.import_module(f".{_HOME[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

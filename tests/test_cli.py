@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -10,7 +11,15 @@ from pathlib import Path
 import pytest
 
 import numsem
-from numsem import ALL_SEMIGROUPS, cli, depth_predicate, enumerate_tree, export_tree
+from numsem import (
+    ALL_SEMIGROUPS,
+    DoubleLabel,
+    NumericalSemigroup,
+    cli,
+    depth_predicate,
+    enumerate_tree,
+    export_tree,
+)
 from numsem.cli import main
 from support import tree_json_dict
 
@@ -357,17 +366,47 @@ class TestWorkLimits:
         assert time.monotonic() - start < 10
 
 
+def fresh_interpreter(code: str, stdin: bytes = b"") -> str:
+    """Run ``code`` in a new interpreter that finds this numsem; return its stdout."""
+    env = {**os.environ, "PYTHONPATH": str(Path(numsem.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          input=stdin, capture_output=True, timeout=60)
+    return done.stdout.decode()
+
+
+def modules_added_by(code: str) -> set[str]:
+    """Modules in ``sys.modules`` after ``code`` that a bare interpreter does not load."""
+    listing = "import sys; print(' '.join(sorted(sys.modules)))"
+    return set(fresh_interpreter(code + "; " + listing).split()) - set(fresh_interpreter(listing).split())
+
+
+LAYERS = {f"numsem.{layer}" for layer in ("core", "doubles", "errors", "oracle", "tree", "varieties")}
+
+
 class TestStartup:
     def test_cli_import_leaves_out_dataclasses_and_json(self):
         """Importing the CLI loads none of these beyond what a bare interpreter loads."""
-        listing = "import sys; print(' '.join(sorted(sys.modules)))"
-        env = {**os.environ, "PYTHONPATH": str(Path(numsem.__file__).parents[1])}
-
-        def loaded(code: str) -> set[str]:
-            done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                                  capture_output=True, text=True, timeout=60)
-            return set(done.stdout.split())
-
-        added = loaded("import numsem.cli; " + listing) - loaded(listing)
+        added = modules_added_by("import numsem.cli")
         assert "numsem.cli" in added
         assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize", "json"}
+
+    def test_package_import_is_lazy_and_the_cli_loads_every_layer(self):
+        """``import numsem`` loads no submodule and a name loads only its own; the CLI
+        loads all six layers, which ``benchmarks/trace_child.py`` reads from ``sys.modules``."""
+        def numsem_modules(code: str) -> set[str]:
+            return {name for name in modules_added_by(code) if name.startswith("numsem.")}
+
+        assert numsem_modules("import numsem") == set()
+        assert numsem_modules("from numsem import NumericalSemigroup") == {"numsem.core", "numsem.errors"}
+        assert numsem_modules("import numsem.cli") == LAYERS | {"numsem.cli"}
+
+    def test_records_unpickle_in_an_interpreter_that_imported_only_pickle(self):
+        values = (NumericalSemigroup.from_generators([4, 5, 11]), DoubleLabel(5, frozenset({3, 6})),
+                  enumerate_tree(6))
+        check = ("import pickle, sys; got = pickle.loads(sys.stdin.buffer.read()); "
+                 "from numsem import DoubleLabel, NumericalSemigroup, enumerate_tree; "
+                 "want = (NumericalSemigroup.from_generators([4, 5, 11]), "
+                 "DoubleLabel(5, frozenset({3, 6})), enumerate_tree(6)); "
+                 "sys.stdout.write(repr(got == want))")
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert fresh_interpreter(check, pickle.dumps(values, protocol)) == "True"
