@@ -61,7 +61,6 @@ def test_each_public_name_is_its_home_modules_object():
             value = getattr(numsem, name)
             assert value is getattr(module, name), name
             assert getattr(value, "__module__", module.__name__) == module.__name__, name
-    assert numsem.enumerate_tree is numsem.tree.enumerate_tree
 
 
 def test_star_import_binds_exactly_the_public_names():

@@ -380,9 +380,6 @@ def modules_added_by(code: str) -> set[str]:
     return set(fresh_interpreter(code + "; " + listing).split()) - set(fresh_interpreter(listing).split())
 
 
-LAYERS = {f"numsem.{layer}" for layer in ("core", "doubles", "errors", "oracle", "tree", "varieties")}
-
-
 class TestStartup:
     def test_cli_import_leaves_out_dataclasses_and_json(self):
         """Importing the CLI loads none of these beyond what a bare interpreter loads."""
@@ -398,7 +395,8 @@ class TestStartup:
 
         assert numsem_modules("import numsem") == set()
         assert numsem_modules("from numsem import NumericalSemigroup") == {"numsem.core", "numsem.errors"}
-        assert numsem_modules("import numsem.cli") == LAYERS | {"numsem.cli"}
+        layers = {f"numsem.{name}" for name in ("core", "doubles", "errors", "oracle", "tree", "varieties")}
+        assert numsem_modules("import numsem.cli") == layers | {"numsem.cli"}
 
     def test_records_unpickle_in_an_interpreter_that_imported_only_pickle(self):
         values = (NumericalSemigroup.from_generators([4, 5, 11]), DoubleLabel(5, frozenset({3, 6})),
