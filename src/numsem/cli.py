@@ -216,79 +216,75 @@ def _cmd_oracle_check(args) -> tuple[int, str]:
     return int(failed), "".join(lines)
 
 
-def build_parser() -> argparse.ArgumentParser:
+_TEXT_JSON = ("text", "json")
+_OUTPUT = ("--output", {"metavar": "PATH", "default": None})
+_GENERATORS = ("generators", {"type": _generators})
+_GENERATOR_LIST = ("generators", {"type": _generators, "nargs": "+"})
+_MODULUS = ("--modulus", {"type": _positive_int, "required": True})
+_BOUND = ("--frobenius-bound", {"type": _positive_int, "required": True})
+
+# verb: (help, handler, formats, arguments).  A verb with formats takes
+# --format and --output before its arguments; one without lists --output.
+_VERBS = {
+    "info": ("invariants of one semigroup", _cmd_info, _TEXT_JSON, (_GENERATORS,)),
+    "quotient": ("quotient by a positive integer", _cmd_quotient, _TEXT_JSON,
+                 (_GENERATORS, ("divisor", {"type": _positive_int}))),
+    "intersect": ("intersection of two or more semigroups", _cmd_intersect, _TEXT_JSON,
+                  (_GENERATOR_LIST,)),
+    "fundamental-gaps": ("gaps whose multiples are members", _cmd_fundamental_gaps, _TEXT_JSON,
+                         (_GENERATORS,)),
+    "pm": ("proportionally modular semigroup {x : a*x mod b <= c*x}", _cmd_pm, _TEXT_JSON,
+           tuple((name, {"type": _positive_int}) for name in "abc")),
+    "extensions": ("smallest closed family containing one semigroup", _cmd_extensions,
+                   _TEXT_JSON, (_GENERATORS,)),
+    "variety": ("smallest closed family containing several semigroups", _cmd_variety,
+                _TEXT_JSON, (_GENERATOR_LIST,)),
+    "is-extension": ("is the second an arithmetic extension of the first?", _cmd_is_extension,
+                     _TEXT_JSON, (("base", {"type": _generators}),
+                                  ("candidate", {"type": _generators}))),
+    "hull": ("smallest family member containing given elements", _cmd_hull, _TEXT_JSON,
+             (_GENERATOR_LIST, ("--elements", {"type": _element_list, "default": ()}))),
+    "upper-sets": ("upper m-sets of a semigroup", _cmd_upper_sets, _TEXT_JSON,
+                   (_GENERATORS, _MODULUS)),
+    "double": ("build one double from its (m, H) label", _cmd_double, _TEXT_JSON,
+               (_GENERATORS, _MODULUS, ("--upper-set", {"type": _element_list, "default": ()}))),
+    "doubles": ("all doubles under a Frobenius bound", _cmd_doubles, _TEXT_JSON,
+                (_GENERATORS, _BOUND)),
+    "tree": ("tree of a family under a Frobenius bound", _cmd_tree, (*_TEXT_JSON, "dot"),
+             (_BOUND, ("--depth", {"type": _nonnegative_int, "default": None}))),
+    "enumerate-all": ("brute-force enumeration report", _cmd_enumerate_all, _TEXT_JSON,
+                      (_BOUND,)),
+    "oracle-check": ("cross-validate algorithms against brute force", _cmd_oracle_check, (),
+                     (("--frobenius-bound", {"type": _positive_int, "default": 12}), _OUTPUT)),
+}
+
+
+def _add_arguments(parser: argparse.ArgumentParser, handler: Callable, formats: tuple[str, ...],
+                   arguments) -> argparse.ArgumentParser:
+    parser.set_defaults(handler=handler)
+    if formats:
+        arguments = (("--format", {"choices": formats, "default": "text"}), _OUTPUT, *arguments)
+    for name, options in arguments:
+        parser.add_argument(name, **options)
+    return parser
+
+
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every verb, or of ``verb`` alone.
+
+    A verb's parser alone is the one the full parser hands the arguments
+    after the verb to, so it prints the same help and the same errors.
+    """
+    if verb is not None:
+        return _add_arguments(argparse.ArgumentParser(prog=f"numsem {verb}"), *_VERBS[verb][1:])
     parser = argparse.ArgumentParser(
         prog="numsem",
         description="Numerical semigroups: invariants, quotients, closed families, "
         "bounded doubles and depth-bounded tree enumeration.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add(name: str, handler: Callable, help_text: str, formats=("text", "json")):
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler)
-        p.add_argument("--format", choices=formats, default="text")
-        p.add_argument("--output", metavar="PATH", default=None)
-        return p
-
-    p = add("info", _cmd_info, "invariants of one semigroup")
-    p.add_argument("generators", type=_generators)
-
-    p = add("quotient", _cmd_quotient, "quotient by a positive integer")
-    p.add_argument("generators", type=_generators)
-    p.add_argument("divisor", type=_positive_int)
-
-    p = add("intersect", _cmd_intersect, "intersection of two or more semigroups")
-    p.add_argument("generators", type=_generators, nargs="+")
-
-    p = add("fundamental-gaps", _cmd_fundamental_gaps, "gaps whose multiples are members")
-    p.add_argument("generators", type=_generators)
-
-    p = add("pm", _cmd_pm, "proportionally modular semigroup {x : a*x mod b <= c*x}")
-    p.add_argument("a", type=_positive_int)
-    p.add_argument("b", type=_positive_int)
-    p.add_argument("c", type=_positive_int)
-
-    p = add("extensions", _cmd_extensions, "smallest closed family containing one semigroup")
-    p.add_argument("generators", type=_generators)
-
-    p = add("variety", _cmd_variety, "smallest closed family containing several semigroups")
-    p.add_argument("generators", type=_generators, nargs="+")
-
-    p = add("is-extension", _cmd_is_extension, "is the second an arithmetic extension of the first?")
-    p.add_argument("base", type=_generators)
-    p.add_argument("candidate", type=_generators)
-
-    p = add("hull", _cmd_hull, "smallest family member containing given elements")
-    p.add_argument("generators", type=_generators, nargs="+")
-    p.add_argument("--elements", type=_element_list, default=[])
-
-    p = add("upper-sets", _cmd_upper_sets, "upper m-sets of a semigroup")
-    p.add_argument("generators", type=_generators)
-    p.add_argument("--modulus", type=_positive_int, required=True)
-
-    p = add("double", _cmd_double, "build one double from its (m, H) label")
-    p.add_argument("generators", type=_generators)
-    p.add_argument("--modulus", type=_positive_int, required=True)
-    p.add_argument("--upper-set", type=_element_list, default=[])
-
-    p = add("doubles", _cmd_doubles, "all doubles under a Frobenius bound")
-    p.add_argument("generators", type=_generators)
-    p.add_argument("--frobenius-bound", type=_positive_int, required=True)
-
-    p = add("tree", _cmd_tree, "tree of a family under a Frobenius bound",
-            formats=("text", "json", "dot"))
-    p.add_argument("--frobenius-bound", type=_positive_int, required=True)
-    p.add_argument("--depth", type=_nonnegative_int, default=None)
-
-    p = add("enumerate-all", _cmd_enumerate_all, "brute-force enumeration report")
-    p.add_argument("--frobenius-bound", type=_positive_int, required=True)
-
-    p = sub.add_parser("oracle-check", help="cross-validate algorithms against brute force")
-    p.set_defaults(handler=_cmd_oracle_check)
-    p.add_argument("--frobenius-bound", type=_positive_int, default=12)
-    p.add_argument("--output", metavar="PATH", default=None)
-
+    for name, (help_text, *row) in _VERBS.items():
+        _add_arguments(sub.add_parser(name, help=help_text), *row)
     return parser
 
 
@@ -313,9 +309,13 @@ def _chunks(pieces: Iterable[str]) -> Iterator[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = rest = None
+        if argv and argv[0] in _VERBS:  # build only the parser the verb needs
+            args, rest = build_parser(argv[0]).parse_known_args(argv[1:])
+        if args is None or rest:  # the full parser's usage, help and errors
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

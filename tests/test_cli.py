@@ -317,6 +317,74 @@ class TestExitCodes:
         assert out.endswith("oracle-check: FAIL\n")
 
 
+HELP_FIXTURE = Path(__file__).parent / "fixtures" / "cli_help.txt"
+
+# One usage error per verb: a missing required argument or a value its type rejects.
+BAD_INPUT = {
+    "info": ("0,3",),
+    "quotient": ("3,5",),
+    "intersect": (),
+    "fundamental-gaps": ("x",),
+    "pm": ("3", "7", "0"),
+    "extensions": (),
+    "variety": ("2,5", "3,x"),
+    "is-extension": ("2,5",),
+    "hull": ("5,7,9", "--elements", "-1"),
+    "upper-sets": ("4,5,11",),
+    "double": ("2,3", "--modulus", "0"),
+    "doubles": ("2,3",),
+    "tree": ("--frobenius-bound", "5", "--depth", "-1"),
+    "enumerate-all": (),
+    "oracle-check": ("--frobenius-bound", "x"),
+}
+
+
+def full_parser_exit(capsys, argv) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of the full parser on ``argv``, which must exit."""
+    with pytest.raises(SystemExit) as exit_:
+        cli.build_parser().parse_args(list(argv))
+    return (int(exit_.value.code or 0), *capsys.readouterr())
+
+
+class TestParsers:
+    """A verb named first gets a parser of its own; everything else the full parser.
+
+    ``tests/fixtures/cli_help.txt`` is the output of ``numsem --help`` and
+    ``numsem VERB --help`` for every verb, with ``COLUMNS=80``, each after a
+    ``$ numsem ... --help`` line.  Rerun those commands to regenerate it after
+    an intentional change.
+    """
+
+    @pytest.fixture(autouse=True)
+    def columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    def test_help_matches_the_fixture(self, capsys):
+        texts = HELP_FIXTURE.read_text().split("$ numsem ")[1:]
+        helps = {text.split("--help\n")[0].strip(): text.split("--help\n", 1)[1] for text in texts}
+        assert list(helps) == ["", *BAD_INPUT]
+        for verb, text in helps.items():
+            argv = [verb, "--help"] if verb else ["--help"]
+            assert run(capsys, *argv) == (0, text, ""), verb
+            assert full_parser_exit(capsys, argv) == (0, text, ""), verb
+
+    def test_a_verbs_parser_is_the_full_parsers_for_that_verb(self, capsys):
+        for verb, bad in BAD_INPUT.items():
+            help_text = full_parser_exit(capsys, [verb, "-h"])[1]
+            assert cli.build_parser(verb).format_help() == help_text
+            assert run(capsys, verb, "-h") == (0, help_text, "")
+            code, out, err = full_parser_exit(capsys, [verb, *bad])
+            assert (code, out) == (2, "") and err.startswith(f"usage: numsem {verb} "), err
+            assert run(capsys, verb, *bad) == (code, out, err)
+
+    def test_everything_else_is_the_full_parsers(self, capsys):
+        for argv in ([], ["-h"], ["--help"], ["frobnicate"], ["--format", "json", "tree"],
+                     ["info", "3,5", "extra"], ["oracle-check", "--format", "json"]):
+            expected = full_parser_exit(capsys, argv)
+            assert run(capsys, *argv) == expected, argv
+            assert expected[0] == 0 or expected[2].startswith("usage: numsem [-h]\n"), argv
+
+
 class TestWorkLimits:
     def test_pm_beyond_the_limit_fails_fast(self, capsys):
         start = time.monotonic()
@@ -408,3 +476,28 @@ class TestStartup:
                  "sys.stdout.write(repr(got == want))")
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             assert fresh_interpreter(check, pickle.dumps(values, protocol)) == "True"
+
+    def test_in_process_main_never_freezes_the_heap(self, capsys):
+        """Only ``python -m numsem`` freezes what its imports made; library callers never."""
+        import gc
+
+        frozen = gc.get_freeze_count()
+        for argv in (["info", "3,5"], ["info", "4,6"], ["info", "2,x"], ["--help"],
+                     ["tree", "--frobenius-bound", "6", "--format", "json"]):
+            run(capsys, *argv)
+        assert gc.get_freeze_count() == frozen
+
+    def test_a_process_says_what_in_process_main_says(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        for argv, code in ((("info", "3,5"), 0), (("info", "4,6"), 1), (("info", "2,x"), 2),
+                           (("--help",), 0)):
+            child = numsem_process(*argv, stdout=subprocess.PIPE)
+            out, err = child.communicate(timeout=60)
+            assert (child.returncode, out, err) == run(capsys, *argv)
+            assert child.returncode == code
+
+    def test_a_process_runs_its_exit_handlers(self):
+        """``python -m numsem`` ends through ``sys.exit``, so profilers and coverage still report."""
+        code = ("import atexit, runpy, sys; atexit.register(print, 'exit handler ran'); "
+                "sys.argv = ['numsem', 'info', '3,5']; runpy.run_module('numsem', run_name='__main__')")
+        assert fresh_interpreter(code) == "<3,5> F=7 m=3 g=4 e=2 depth=3 gaps=1,2,4,7\nexit handler ran\n"
