@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -360,8 +361,10 @@ class TestParsers:
         monkeypatch.setenv("COLUMNS", "80")
 
     def test_help_matches_the_fixture(self, capsys):
-        texts = HELP_FIXTURE.read_text().split("$ numsem ")[1:]
-        helps = {text.split("--help\n")[0].strip(): text.split("--help\n", 1)[1] for text in texts}
+        helps = {}
+        for part in HELP_FIXTURE.read_text().split("$ numsem ")[1:]:
+            command, text = part.split("\n", 1)
+            helps[command.removesuffix("--help").strip()] = text
         assert list(helps) == ["", *BAD_INPUT]
         for verb, text in helps.items():
             argv = [verb, "--help"] if verb else ["--help"]
@@ -479,8 +482,6 @@ class TestStartup:
 
     def test_in_process_main_never_freezes_the_heap(self, capsys):
         """Only ``python -m numsem`` freezes what its imports made; library callers never."""
-        import gc
-
         frozen = gc.get_freeze_count()
         for argv in (["info", "3,5"], ["info", "4,6"], ["info", "2,x"], ["--help"],
                      ["tree", "--frobenius-bound", "6", "--format", "json"]):
