@@ -3,16 +3,6 @@
 Quotients, arithmetic extensions, smallest closed families, bounded
 enumeration of doubles, depth-bounded tree generation, and an
 exhaustive brute-force oracle cross-validating all of it.
-
-API changes in 0.2.0, one spelling per operation: ``from_gaps(g)`` is
-``NumericalSemigroup(g)``, ``naturals()`` is ``NATURALS``, ``halve(s)`` and
-``s.halve()`` are ``s.quotient(2)``, ``children(s, b, p)`` is
-``enumerate_tree(b, p).children_of(s)``; ``doubles_oracle`` and
-``VarietySet.is_intersection_closed``/``is_quotient_closed`` are gone.
-
-API changes in 0.3.0: a ``VarietyTree`` keeps ``children`` as positions in ``nodes``;
-``tree.to_json_dict()`` is ``export_tree(tree, "json")``; an ``EnumerationReport``
-holds ``(bound, semigroups)`` and derives ``counts_by_frobenius``.
 """
 
 import importlib as _importlib

@@ -9,6 +9,7 @@ A failed write, to either, is a domain error.
 """
 
 import argparse
+import gc
 import io
 import os
 import sys
@@ -64,29 +65,29 @@ _positive_int = _int_at_least(1, "positive")
 _nonnegative_int = _int_at_least(0, "nonnegative")
 
 
-def _json_text(obj) -> str:
-    import json  # here, not at the top: text and tree outputs never load it
-    return json.dumps(obj, indent=2) + "\n"
+def _render(args, value, text: Iterable[str]) -> Iterable[str]:
+    """The pieces of the verb's text, or with ``--format json`` its ``value`` as JSON.
+
+    A record in ``value`` is written as its ``to_json_dict()``.  A text that
+    costs more than the value to make comes from a generator, which JSON
+    output never runs.
+    """
+    if args.format == "json":
+        import json  # here, not at the top: text and tree outputs never load it
+        return (json.dumps(value, default=_json_dict, indent=2) + "\n",)
+    return text
 
 
-def _semigroup_text(s: NumericalSemigroup) -> str:
-    return (
+def _json_dict(record) -> dict:
+    return record.to_json_dict()
+
+
+def _semigroup_text(s: NumericalSemigroup) -> Iterator[str]:
+    yield (
         f"{s} F={s.frobenius} m={s.multiplicity} g={s.genus}"
         f" e={s.embedding_dimension} depth={s.depth()}"
         f" gaps={','.join(map(str, s.gaps))}\n"
     )
-
-
-def _render_semigroup(s: NumericalSemigroup, fmt: str) -> str:
-    if fmt == "json":
-        return _json_text(s.to_json_dict())
-    return str(s) + "\n"
-
-
-def _render_family(family, fmt: str) -> str:
-    if fmt == "json":
-        return _json_text(family.to_json_dict())
-    return "".join(str(s) + "\n" for s in family)
 
 
 def _double_line(label: DoubleLabel, t: NumericalSemigroup) -> str:
@@ -94,103 +95,93 @@ def _double_line(label: DoubleLabel, t: NumericalSemigroup) -> str:
 
 
 def _double_json(label: DoubleLabel, t: NumericalSemigroup) -> dict:
-    return {**label.to_json_dict(), "semigroup": t.to_json_dict()}
+    return {**label.to_json_dict(), "semigroup": t}
 
 
-# -- verb handlers: each returns (exit_code, output text or its pieces) --
+# -- verb handlers: each returns (exit_code, the pieces of its output) --
 
 
-def _cmd_info(args) -> tuple[int, str]:
+def _cmd_info(args) -> tuple[int, Iterable[str]]:
     s = NumericalSemigroup.from_generators(args.generators)
-    if args.format == "json":
-        return 0, _json_text(s.to_json_dict())
-    return 0, _semigroup_text(s)
+    return 0, _render(args, s, _semigroup_text(s))
 
 
-def _cmd_quotient(args) -> tuple[int, str]:
-    s = NumericalSemigroup.from_generators(args.generators)
-    return 0, _render_semigroup(s.quotient(args.divisor), args.format)
+def _cmd_quotient(args) -> tuple[int, Iterable[str]]:
+    s = NumericalSemigroup.from_generators(args.generators).quotient(args.divisor)
+    return 0, _render(args, s, (f"{s}\n",))
 
 
-def _cmd_intersect(args) -> tuple[int, str]:
+def _cmd_intersect(args) -> tuple[int, Iterable[str]]:
     result = NumericalSemigroup.from_generators(args.generators[0])
     for gens in args.generators[1:]:
         result = result.intersect(NumericalSemigroup.from_generators(gens))
-    return 0, _render_semigroup(result, args.format)
+    return 0, _render(args, result, (f"{result}\n",))
 
 
-def _cmd_fundamental_gaps(args) -> tuple[int, str]:
-    s = NumericalSemigroup.from_generators(args.generators)
-    fg = s.fundamental_gaps()
-    if args.format == "json":
-        return 0, _json_text(list(fg))
-    return 0, ",".join(map(str, fg)) + "\n"
+def _cmd_fundamental_gaps(args) -> tuple[int, Iterable[str]]:
+    fg = NumericalSemigroup.from_generators(args.generators).fundamental_gaps()
+    return 0, _render(args, fg, (",".join(map(str, fg)) + "\n",))
 
 
-def _cmd_pm(args) -> tuple[int, str]:
+def _cmd_pm(args) -> tuple[int, Iterable[str]]:
     s = proportionally_modular(args.a, args.b, args.c)
-    return 0, _render_semigroup(s, args.format)
+    return 0, _render(args, s, (f"{s}\n",))
 
 
-def _cmd_extensions(args) -> tuple[int, str]:
-    s = NumericalSemigroup.from_generators(args.generators)
-    return 0, _render_family(arithmetic_extensions(s), args.format)
+def _cmd_extensions(args) -> tuple[int, Iterable[str]]:
+    family = arithmetic_extensions(NumericalSemigroup.from_generators(args.generators))
+    return 0, _render(args, family, (f"{s}\n" for s in family))
 
 
-def _cmd_variety(args) -> tuple[int, str]:
-    family = [NumericalSemigroup.from_generators(g) for g in args.generators]
-    return 0, _render_family(smallest_variety(family), args.format)
+def _cmd_variety(args) -> tuple[int, Iterable[str]]:
+    family = smallest_variety([NumericalSemigroup.from_generators(g) for g in args.generators])
+    return 0, _render(args, family, (f"{s}\n" for s in family))
 
 
-def _cmd_is_extension(args) -> tuple[int, str]:
+def _cmd_is_extension(args) -> tuple[int, Iterable[str]]:
     s = NumericalSemigroup.from_generators(args.base)
     t = NumericalSemigroup.from_generators(args.candidate)
-    return 0, ("true" if is_arithmetic_extension(s, t) else "false") + "\n"
+    answer = is_arithmetic_extension(s, t)
+    return 0, _render(args, answer, ("true\n" if answer else "false\n",))
 
 
-def _cmd_hull(args) -> tuple[int, str]:
+def _cmd_hull(args) -> tuple[int, Iterable[str]]:
     family = [NumericalSemigroup.from_generators(g) for g in args.generators]
-    return 0, _render_semigroup(_family_hull(family, args.elements), args.format)
+    hull = _family_hull(family, args.elements)
+    return 0, _render(args, hull, (f"{hull}\n",))
 
 
-def _cmd_upper_sets(args) -> tuple[int, str]:
+def _cmd_upper_sets(args) -> tuple[int, Iterable[str]]:
     s = NumericalSemigroup.from_generators(args.generators)
-    sets = upper_m_sets(s, args.modulus)
-    if args.format == "json":
-        return 0, _json_text([sorted(h) for h in sets])
-    return 0, "".join("{" + ",".join(map(str, sorted(h))) + "}\n" for h in sets)
+    sets = [sorted(h) for h in upper_m_sets(s, args.modulus)]
+    return 0, _render(args, sets, ("{" + ",".join(map(str, h)) + "}\n" for h in sets))
 
 
-def _cmd_double(args) -> tuple[int, str]:
+def _cmd_double(args) -> tuple[int, Iterable[str]]:
     s = NumericalSemigroup.from_generators(args.generators)
     label = DoubleLabel(args.modulus, frozenset(args.upper_set))
     t = build_double(s, label.m, label.upper_set)
-    if args.format == "json":
-        return 0, _json_text(_double_json(label, t))
-    return 0, _double_line(label, t)
+    return 0, _render(args, _double_json(label, t), (_double_line(label, t),))
 
 
-def _cmd_doubles(args) -> tuple[int, str]:
+def _cmd_doubles(args) -> tuple[int, Iterable[str]]:
     s = NumericalSemigroup.from_generators(args.generators)
     results = doubles_bounded(s, args.frobenius_bound)
-    if args.format == "json":
-        return 0, _json_text([_double_json(label, t) for label, t in results])
-    return 0, "".join(_double_line(label, t) for label, t in results)
+    return 0, _render(args, [_double_json(label, t) for label, t in results],
+                      (_double_line(label, t) for label, t in results))
 
 
-def _cmd_tree(args) -> tuple[int, Iterator[str]]:
+def _cmd_tree(args) -> tuple[int, Iterable[str]]:
     predicate = ALL_SEMIGROUPS if args.depth is None else depth_predicate(args.depth)
     return 0, _tree_pieces(enumerate_tree(args.frobenius_bound, predicate), args.format)
 
 
-def _cmd_enumerate_all(args) -> tuple[int, str]:
+def _cmd_enumerate_all(args) -> tuple[int, Iterable[str]]:
     report = all_semigroups_up_to(args.frobenius_bound)
-    if args.format == "json":
-        return 0, _json_text(report.to_json_dict())
-    return 0, "".join(str(s) + "\n" for s in report.semigroups)
+    return 0, _render(args, report, (f"{s}\n" for s in report.semigroups))
 
 
-def _cmd_oracle_check(args) -> tuple[int, str]:
+def _cmd_oracle_check(args) -> tuple[int, Iterable[str]]:
     bound = args.frobenius_bound
     top = all_semigroups_up_to(bound)  # one 2^bound walk serves every smaller bound
     tree_ok = sum(enumerate_tree(f).nodes == top.up_to(f).semigroups for f in range(1, bound + 1))
@@ -213,7 +204,7 @@ def _cmd_oracle_check(args) -> tuple[int, str]:
 
     failed = tree_ok != bound or bool(bad or bad_ext)
     lines.append("oracle-check: FAIL\n" if failed else "oracle-check: PASS\n")
-    return int(failed), "".join(lines)
+    return int(failed), lines
 
 
 _TEXT_JSON = ("text", "json")
@@ -309,7 +300,9 @@ def _chunks(pieces: Iterable[str]) -> Iterator[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+    if argv is None:  # run as the program
+        gc.freeze()  # the imports' objects live until exit: no collection need walk them
+        argv = sys.argv[1:]
     try:
         args = rest = None
         if argv and argv[0] in _VERBS:  # build only the parser the verb needs
@@ -319,8 +312,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        code, text = args.handler(args)
-        pieces = _chunks((text,) if isinstance(text, str) else text)
+        code, pieces = args.handler(args)
+        pieces = _chunks(pieces)
         if args.output is not None:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.writelines(pieces)

@@ -249,6 +249,11 @@ class TestProportionallyModular:
         for x in range(60):
             assert s.contains(x) == ((5 * x) % 13 <= 2 * x)
 
+    def test_parameters_below_one_rejected(self):
+        for a, b, c in ((0, 7, 1), (3, 0, 1), (3, 7, 0), (-1, 7, 1)):
+            with pytest.raises(ValueError, match=">= 1"):
+                proportionally_modular(a, b, c)
+
     def test_scan_bounded_by_default_limit(self):
         # the scan runs up to ceil((b-1)/c), which may equal the limit
         assert proportionally_modular(1, DEFAULT_LIMIT + 1, 1) == NATURALS
@@ -261,6 +266,8 @@ class TestProportionallyModular:
 class TestOrderingAndRendering:
     def test_equal(self):
         assert NS.from_generators([2, 5]) == NS([1, 3])
+        assert (NS() == 3) is False and (3 == NS()) is False
+        assert NS() != 3
 
     def test_canonical_order(self):
         a, b, c = NATURALS, NS.from_generators([2, 3]), NS.from_generators([2, 5])

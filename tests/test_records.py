@@ -131,6 +131,8 @@ def test_semigroup_unpickling_revalidates_closure():
     assert b"I10\n" in data
     with pytest.raises(NotASemigroup):
         pickle.loads(data.replace(b"I10\n", b"I4\n"))  # the gap set {2}: 1 + 1 = 2
+    with pytest.raises(NotASemigroup, match="positive"):
+        pickle.loads(data.replace(b"I10\n", b"I11\n"))  # an odd mask: 0 is a gap
 
 
 def test_report_is_a_dict_key_and_counts_its_frobenius_numbers():

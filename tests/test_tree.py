@@ -92,6 +92,7 @@ class TestEnumerate:
     def test_bound_one(self):
         tree = enumerate_tree(1)
         assert tree.nodes == (NATURALS, NS.from_generators([2, 3]))
+        assert tree.root == tree.nodes[0] == NATURALS
 
     def test_bound_five_all(self):
         tree = enumerate_tree(5)

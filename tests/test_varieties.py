@@ -221,6 +221,11 @@ class TestMonoidHull:
         with pytest.raises(ValueError):
             monoid_hull(arithmetic_extensions(NS.from_generators([2, 5])), [-1])
 
+    def test_a_family_whose_members_all_miss_the_elements_has_no_hull(self):
+        family = VarietySet.of([NS.from_generators([2, 3]), NS.from_generators([3, 4, 5])])
+        with pytest.raises(ValueError, match="no member contains"):
+            monoid_hull(family, [1])
+
     def test_family_hull_matches_the_variety(self):
         """The hull from the generating quotients is the hull of the whole variety."""
         rng = random.Random(11)
