@@ -69,8 +69,8 @@ def _render(args, value, text: Iterable[str]) -> Iterable[str]:
     """The pieces of the verb's text, or with ``--format json`` its ``value`` as JSON.
 
     A record in ``value`` is written as its ``to_json_dict()``.  A text that
-    costs more than the value to make comes from a generator, which JSON
-    output never runs.
+    is costly to make, such as ``info``'s with every gap, comes from a
+    generator, which JSON output never runs.
     """
     if args.format == "json":
         import json  # here, not at the top: text and tree outputs never load it
