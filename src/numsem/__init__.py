@@ -10,7 +10,7 @@ import importlib as _importlib
 # Each public name and the module that defines it; a name's module is imported
 # on first use (PEP 562), so ``import numsem`` alone loads no submodule.
 _HOME = {
-    "DEFAULT_LIMIT": "core", "Invariants": "core", "NATURALS": "core",
+    "DEFAULT_LIMIT": "core", "NATURALS": "core",
     "NumericalSemigroup": "core", "proportionally_modular": "core",
     "DoubleLabel": "doubles", "build_double": "doubles", "doubles_bounded": "doubles",
     "frobenius_of_double": "doubles", "is_upper_m_set": "doubles", "upper_m_sets": "doubles",
@@ -28,7 +28,7 @@ _HOME = {
     "smallest_variety": "varieties",
 }
 __all__ = sorted(_HOME)
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 
 def __getattr__(name: str) -> object:

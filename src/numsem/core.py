@@ -2,17 +2,16 @@
 
 A numerical semigroup is a subset of the nonnegative integers that
 contains 0, is closed under addition and misses only finitely many
-positive integers (its *gaps*).  The gap set determines the whole
-object, so that is what an instance stores, as one ``int`` gap mask:
-bit i is set iff i is a gap.  The Frobenius number (largest gap, -1
-when there is none) is ``mask.bit_length() - 1``, and the operations
-are bit operations on masks: membership is a bit test, intersection is
-OR, inclusion a subset test, the genus a bit count and a quotient by d
-keeps every d-th bit.  Every construction validates additive closure
-with one pass over the Apery set of the multiplicity (:func:`_apery_pass`),
-which also finds the minimal generating system the instance keeps.  The
-multiplicity and the depth are derived from the mask on use, and
-``gaps`` and ``gap_set`` are views of it.
+positive integers (its *gaps*).  An instance stores the gaps as one
+``int`` gap mask (bit i is set iff i is a gap) and the minimal
+generators that every construction finds in the one pass that checks
+additive closure, over the Apery set of the multiplicity
+(:func:`_apery_pass`).  Every other fact is derived on use: the
+Frobenius number (largest gap, -1 when there is none) is
+``mask.bit_length() - 1`` and the conductor one more, the genus is a bit
+count, the multiplicity the first generator.  The operations are bit
+operations on masks: membership is a bit test, intersection is OR,
+inclusion a subset test and a quotient by d keeps every d-th bit.
 
 Instances are immutable and hashable, so they can be shared freely
 between threads or tasks; every operation is a pure function returning
@@ -25,7 +24,7 @@ import math
 import operator
 from functools import total_ordering
 from itertools import compress, count
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .errors import GcdNotOne, NonPositiveDivisor, NotASemigroup, TooLarge
 
@@ -33,15 +32,6 @@ from .errors import GcdNotOne, NonPositiveDivisor, NotASemigroup, TooLarge
 #: semigroup built from generators, and for the range
 #: ``proportionally_modular`` scans.
 DEFAULT_LIMIT = 10**6
-
-
-class Invariants(NamedTuple):
-    """The classical single-semigroup invariants."""
-
-    frobenius: int
-    multiplicity: int
-    genus: int
-    embedding_dimension: int
 
 
 class _Record:
@@ -163,7 +153,7 @@ def _apery_pass(mask: int, frobenius: int) -> tuple[int, ...] | None:
 class NumericalSemigroup:
     """A co-finite additive submonoid of the nonnegative integers."""
 
-    __slots__ = ("_mask", "_frobenius", "_msg")
+    __slots__ = ("_mask", "_msg")
 
     def __init__(self, gaps: Iterable[int] = ()) -> None:
         self._set_mask(_mask_of(gaps))
@@ -180,7 +170,6 @@ class NumericalSemigroup:
                 " are not closed under addition"
             )
         self._mask = mask
-        self._frobenius = frobenius
         self._msg = msg
 
     @classmethod
@@ -248,22 +237,18 @@ class NumericalSemigroup:
         return tuple(_bits(self._mask))
 
     @property
-    def gap_set(self) -> frozenset[int]:
-        return frozenset(_bits(self._mask))
-
-    @property
     def gap_mask(self) -> int:
         """The gaps as one ``int``: bit i is set iff i is a gap."""
         return self._mask
 
     @property
     def frobenius(self) -> int:
-        return self._frobenius
+        return self._mask.bit_length() - 1
 
     @property
     def conductor(self) -> int:
         """First point after which every integer is a member."""
-        return self._frobenius + 1
+        return self._mask.bit_length()
 
     @property
     def genus(self) -> int:
@@ -272,7 +257,7 @@ class NumericalSemigroup:
     @property
     def multiplicity(self) -> int:
         """Smallest nonzero member (1 for the full set)."""
-        return _multiplicity(self._mask)
+        return self._msg[0]
 
     @property
     def min_generators(self) -> tuple[int, ...]:
@@ -288,14 +273,9 @@ class NumericalSemigroup:
         """Members up to and including the conductor."""
         return tuple(_bits(~self._mask & ((1 << (self.conductor + 1)) - 1)))
 
-    def invariants(self) -> Invariants:
-        return Invariants(
-            self._frobenius, self.multiplicity, self.genus, self.embedding_dimension
-        )
-
     def depth(self) -> int:
         """ceil((frobenius + 1) / multiplicity); 0 exactly for the full set."""
-        return -(-(self._frobenius + 1) // self.multiplicity)
+        return -(-self._mask.bit_length() // self._msg[0])
 
     # -- binary operations --------------------------------------------
 
@@ -352,7 +332,7 @@ class NumericalSemigroup:
         return {
             "generators": list(self.min_generators),
             "gaps": list(self.gaps),
-            "frobenius": self._frobenius,
+            "frobenius": self.frobenius,
             "genus": self.genus,
             "multiplicity": self.multiplicity,
             "depth": self.depth(),

@@ -23,6 +23,7 @@ built straight from S's; the public functions take and return
 frozensets.
 """
 
+import operator
 from typing import Iterable, Iterator
 
 from .core import DEFAULT_LIMIT, NumericalSemigroup, _apery_pass, _bits, _mask_of, _Record
@@ -64,13 +65,22 @@ def _double_mask(gaps: int, m: int, h: int) -> int:
 
 
 def _label_mask(s: NumericalSemigroup, m: int, h: frozenset[int]) -> int:
-    """Gap mask of the double labelled (m, h), once m and h pass the input checks."""
+    """Gap mask of the double labelled (m, h), once m and h pass the input checks.
+
+    An element is a gap when it is an index (1.0 == 1 is not) whose bit is
+    set in the gap mask.  The indices below the mask's top bit make one mask,
+    so one AND finds those that are members.
+    """
     _check_modulus(s, m)
-    outside = h - s.gap_set | {x for x in h if not hasattr(x, "__index__")}  # 1.0 == 1
-    if outside:
-        listed = sorted(outside, key=lambda x: (0, x) if isinstance(x, int) else (1, repr(x)))
+    gaps, top = s.gap_mask, s.conductor
+    index = {x: i for x in h if hasattr(x, "__index__") and 0 < (i := operator.index(x)) < top}
+    labels = _mask_of(index.values())
+    if labels & ~gaps or len(index) < len(h):
+        members = set(_bits(labels & ~gaps))
+        listed = sorted((x for x in h if x not in index or index[x] in members),
+                        key=lambda x: (0, x) if isinstance(x, int) else (1, repr(x)))
         raise NotGapSubset(f"{listed} are not gaps of {s}")
-    return _double_mask(s.gap_mask, m, _mask_of(h))
+    return _double_mask(gaps, m, labels)
 
 
 def is_upper_m_set(
@@ -179,9 +189,7 @@ def frobenius_of_double(
     """
     h = frozenset(upper_set)
     build_double(s, m, h)
-    outside = s.gap_mask & ~_mask_of(h)
-    if not outside:
-        return max(2 * s.frobenius, m - 2)
+    outside = s.gap_mask & ~_mask_of(h)  # 0 gives 2 * -1 + m, the largest odd gap m - 2
     return max(2 * s.frobenius, 2 * (outside.bit_length() - 1) + m)
 
 

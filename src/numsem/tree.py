@@ -9,6 +9,7 @@ motivating instance; the predicate is pluggable.
 """
 
 from bisect import bisect_left
+from functools import partial
 from itertools import compress
 from typing import Iterable, Iterator
 
@@ -23,15 +24,23 @@ class VarietyPredicate(_Record):
     __slots__ = _fields = ("name", "accepts")  # str, Callable[[NumericalSemigroup], bool]
 
 
+def _any_semigroup(s: NumericalSemigroup) -> bool:
+    return True
+
+
+def _depth_at_most(q: int, s: NumericalSemigroup) -> bool:
+    return s.depth() <= q
+
+
 #: The family of all numerical semigroups.
-ALL_SEMIGROUPS = VarietyPredicate("all", lambda s: True)
+ALL_SEMIGROUPS = VarietyPredicate("all", _any_semigroup)
 
 
 def depth_predicate(q: int) -> VarietyPredicate:
     """Family of semigroups with depth at most ``q`` (quotient-closed)."""
     if q < 0:
         raise ValueError(f"depth must be >= 0, got {q}")
-    return VarietyPredicate(f"depth<={q}", lambda s: s.depth() <= q)
+    return VarietyPredicate(f"depth<={q}", partial(_depth_at_most, q))
 
 
 class VarietyTree(_Record):

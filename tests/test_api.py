@@ -12,7 +12,7 @@ PUBLIC = {
     # values and constants
     "DEFAULT_LIMIT", "ENUMERATION_CAP", "NATURALS", "ALL_SEMIGROUPS",
     # records
-    "NumericalSemigroup", "Invariants", "DoubleLabel", "EnumerationReport",
+    "NumericalSemigroup", "DoubleLabel", "EnumerationReport",
     "ExtremalElements", "VarietyPredicate", "VarietySet", "VarietyTree",
     # errors
     "SemigroupError", "BadM", "BoundTooLarge", "GcdNotOne", "InvalidCertificate",
@@ -26,7 +26,7 @@ PUBLIC = {
 }
 
 HOMES = {  # the module that defines each public name
-    "core": "DEFAULT_LIMIT NATURALS NumericalSemigroup Invariants proportionally_modular",
+    "core": "DEFAULT_LIMIT NATURALS NumericalSemigroup proportionally_modular",
     "doubles": "DoubleLabel build_double doubles_bounded frobenius_of_double is_upper_m_set upper_m_sets",
     "errors": "SemigroupError BadM BoundTooLarge GcdNotOne InvalidCertificate IsNaturals "
               "NonPositiveDivisor NotASemigroup NotGapSubset PredicateNotClosed TooLarge UnknownFormat",
@@ -76,15 +76,15 @@ def test_unknown_names_raise_attribute_error(name):
 
 
 def test_second_spellings_are_gone():
-    for name in ("halve", "children", "doubles_oracle"):
+    for name in ("halve", "children", "doubles_oracle", "Invariants"):
         assert not hasattr(numsem, name), name
     for cls in (NumericalSemigroup, VarietySet):
         for name in ("from_gaps", "naturals", "halve",
-                     "is_intersection_closed", "is_quotient_closed"):
+                     "is_intersection_closed", "is_quotient_closed", "gap_set", "invariants"):
             assert not hasattr(cls, name), (cls.__name__, name)
     assert not hasattr(numsem.VarietyTree, "to_dot")  # export_tree(tree, "dot")
     assert not hasattr(numsem.VarietyTree, "to_json_dict")  # export_tree(tree, "json")
 
 
 def test_version():
-    assert numsem.__version__ == "0.3.0"
+    assert numsem.__version__ == "0.4.0"

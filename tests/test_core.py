@@ -11,7 +11,6 @@ from numsem import (
     DEFAULT_LIMIT,
     NATURALS,
     GcdNotOne,
-    Invariants,
     NonPositiveDivisor,
     NotASemigroup,
     NumericalSemigroup,
@@ -124,7 +123,7 @@ class TestFromGenerators:
     )
 )
 def test_from_generators_matches_reachability(gens):
-    assert NS.from_generators(gens).gap_set == naive_gap_set(gens)
+    assert frozenset(NS.from_generators(gens).gaps) == naive_gap_set(gens)
 
 
 class TestFromGaps:
@@ -167,12 +166,22 @@ class TestMembership:
         assert 4 in NS.from_generators([2, 5])
 
 
+def invariants(s):
+    return s.frobenius, s.multiplicity, s.genus, s.embedding_dimension
+
+
 class TestInvariants:
     def test_naturals(self):
-        assert NATURALS.invariants() == Invariants(-1, 1, 0, 1)
+        assert invariants(NATURALS) == (-1, 1, 0, 1)
 
     def test_five_seven_nine(self):
-        assert NS.from_generators([5, 7, 9]).invariants() == Invariants(13, 5, 8, 3)
+        assert invariants(NS.from_generators([5, 7, 9])) == (13, 5, 8, 3)
+
+    def test_an_instance_stores_its_gap_mask_and_generators_only(self):
+        assert NS.__slots__ == ("_mask", "_msg")
+        s = NS.from_generators([4, 5, 11])
+        assert (s._mask, s._msg) == (0b11001110, (4, 5, 11))
+        assert (s.conductor, s.depth(), s.small_elements) == (8, 2, (0, 4, 5, 8))
 
     def test_four_five_eleven(self):
         s = NS.from_generators([4, 5, 11])

@@ -91,6 +91,11 @@ class TestIsUpperMSet:
                 is_upper_m_set(S4511, 9, candidate)
             with pytest.raises(InvalidCertificate, match="not gaps"):
                 build_double(S4511, 9, candidate)
+        # True is the gap 1, so this label is checked, and fails, as an upper set
+        assert is_upper_m_set(S4511, 5, [True, 2, 3]) is False
+        with pytest.raises(InvalidCertificate) as raised:
+            build_double(S4511, 5, [True, 2, 3])
+        assert str(raised.value) == "[True, 2, 3] is not an upper 5-set of <4,5,11>"
 
     def test_mixed_type_elements_are_listed_not_compared(self):
         """A label mixing types raises NotGapSubset, ints listed first in order, then the rest."""
@@ -98,6 +103,15 @@ class TestIsUpperMSet:
             is_upper_m_set(S4511, 9, {"6", 1.5})
         with pytest.raises(NotGapSubset, match=r"^\[4, 10, 1\.5\] are not gaps"):
             is_upper_m_set(S4511, 9, {10, 1.5, 4, 6})
+        # 1.0 enters the set first and stands for 1, so True is dropped as its duplicate
+        label = [4, 0, -3, 1.0, 1.5, "6", True, 10**30]
+        listed = "[-3, 0, 4, 1000000000000000000000000000000, '6', 1.0, 1.5]"
+        with pytest.raises(NotGapSubset) as raised:
+            is_upper_m_set(S4511, 5, label)
+        assert str(raised.value) == f"{listed} are not gaps of <4,5,11>"
+        with pytest.raises(InvalidCertificate) as raised:
+            build_double(S4511, 5, label)
+        assert str(raised.value) == f"{listed} are not gaps of <4,5,11>"
 
     def test_matches_the_three_conditions_on_every_gap_subset(self):
         """The closure test of the double decides exactly the definition, failures included."""
@@ -330,7 +344,7 @@ class TestDoublesBounded:
         for s in all_semigroups_up_to(10).semigroups:
             if s == NATURALS:
                 continue
-            gaps = s.gap_set
+            gaps = frozenset(s.gaps)
             for m in range(1, 2 * s.frobenius + 4, 2):
                 if s.contains(m):
                     assert is_upper_m_set(s, m, gaps) == (m > s.frobenius), (str(s), m)

@@ -14,7 +14,9 @@ from numsem import (
     VarietyPredicate,
     VarietySet,
     VarietyTree,
+    ALL_SEMIGROUPS,
     all_semigroups_up_to,
+    depth_predicate,
     enumerate_tree,
 )
 
@@ -133,6 +135,15 @@ def test_semigroup_unpickling_revalidates_closure():
         pickle.loads(data.replace(b"I10\n", b"I4\n"))  # the gap set {2}: 1 + 1 = 2
     with pytest.raises(NotASemigroup, match="positive"):
         pickle.loads(data.replace(b"I10\n", b"I11\n"))  # an odd mask: 0 is a gap
+
+
+def test_the_packages_predicates_pickle_and_walk_the_same_tree():
+    for predicate in (ALL_SEMIGROUPS, *map(depth_predicate, range(4))):
+        tree = enumerate_tree(12, predicate)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            restored = pickle.loads(pickle.dumps(predicate, protocol))
+            assert restored.name == predicate.name
+            assert enumerate_tree(12, restored) == tree
 
 
 def test_report_is_a_dict_key_and_counts_its_frobenius_numbers():
