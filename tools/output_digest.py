@@ -1,6 +1,6 @@
 """Hash what the numsem CLI prints over a fixed list of invocations.
 
-    python3 tools/output_digest.py [--verbose]
+    python3 tools/output_digest.py
 
 It runs each invocation through ``numsem.cli.main`` in this process,
 from the ``src`` of the checkout it sits in, and prints one line per
@@ -8,7 +8,7 @@ case: a short SHA-256 over the exit code, stdout, stderr and the bytes
 of any ``--output`` file, then the argument list.  The last line is the
 hash of all of them.  Two checkouts print the same total exactly when
 every case prints the same bytes, so ``diff`` of the two listings names
-the cases that differ.  ``--verbose`` adds each case's wall time.
+the cases that differ.
 
 The cases: ``tree`` in all three formats at bounds 1-24 and at 1-17
 with ``--depth 0..3``; ``doubles`` on six semigroups; every text/json
@@ -29,7 +29,6 @@ import io
 import os
 import sys
 import tempfile
-import time
 import traceback
 from pathlib import Path
 
@@ -106,18 +105,16 @@ def run(case: list[str], path: str) -> bytes:
     return b"\0".join(t.encode() for t in texts) + b"\0" + written
 
 
-def main_digest(verbose: bool) -> None:
+def main_digest() -> None:
     total = hashlib.sha256()
     with tempfile.TemporaryDirectory() as scratch:
         path = os.path.join(scratch, "output")
         for case in cases():
-            start = time.perf_counter()
             digest = hashlib.sha256(run(case, path)).hexdigest()
-            wall = f"  {time.perf_counter() - start:.3f}s" if verbose else ""
             total.update(digest.encode())
-            print(f"{digest[:12]}  {' '.join(case) or '(no arguments)'}{wall}")
+            print(f"{digest[:12]}  {' '.join(case) or '(no arguments)'}")
     print("total", total.hexdigest())
 
 
 if __name__ == "__main__":
-    main_digest("--verbose" in sys.argv[1:])
+    main_digest()
