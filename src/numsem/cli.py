@@ -3,8 +3,8 @@
 Output is byte-deterministic for fixed inputs.  Exit codes: 0 success,
 1 domain error (the error class name is printed to stderr), 2 usage
 error (argparse).  ``--output PATH`` writes exactly the bytes that
-would have gone to stdout, and ``tree`` writes them as it renders them,
-about a buffer at a time.
+would have gone to stdout, and every verb writes them as it renders them,
+text or JSON, about a buffer at a time.
 A failed write, to either, is a domain error.
 """
 
@@ -13,7 +13,7 @@ import gc
 import io
 import os
 import sys
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator
 
 from .core import NumericalSemigroup, proportionally_modular
@@ -66,20 +66,15 @@ _nonnegative_int = _int_at_least(0, "nonnegative")
 
 
 def _render(args, value, text: Iterable[str]) -> Iterable[str]:
-    """The pieces of the verb's text, or with ``--format json`` its ``value`` as JSON.
+    """The pieces of the verb's text, or with ``--format json`` those of its ``value`` in JSON.
 
-    A record in ``value`` is written as its ``to_json_dict()``.  A text that
-    is costly to make, such as ``info``'s with every gap, comes from a
-    generator, which JSON output never runs.
+    A text that is costly to make, such as ``info``'s with every gap, comes
+    from a generator, which JSON output never runs.
     """
-    if args.format == "json":
-        import json  # here, not at the top: text and tree outputs never load it
-        return (json.dumps(value, default=_json_dict, indent=2) + "\n",)
-    return text
-
-
-def _json_dict(record) -> dict:
-    return record.to_json_dict()
+    if args.format != "json":
+        return text
+    from ._json_writer import _json_pieces
+    return chain(_json_pieces(value), ("\n",))
 
 
 def _semigroup_text(s: NumericalSemigroup) -> Iterator[str]:
@@ -130,12 +125,13 @@ def _cmd_pm(args) -> tuple[int, Iterable[str]]:
 
 def _cmd_extensions(args) -> tuple[int, Iterable[str]]:
     family = arithmetic_extensions(NumericalSemigroup.from_generators(args.generators))
-    return 0, _render(args, family, (f"{s}\n" for s in family))
+    # family.to_json_dict(), but with the members whole, so that the writer uses its number table
+    return 0, _render(args, {"members": family.members}, (f"{s}\n" for s in family))
 
 
 def _cmd_variety(args) -> tuple[int, Iterable[str]]:
     family = smallest_variety([NumericalSemigroup.from_generators(g) for g in args.generators])
-    return 0, _render(args, family, (f"{s}\n" for s in family))
+    return 0, _render(args, {"members": family.members}, (f"{s}\n" for s in family))  # as above
 
 
 def _cmd_is_extension(args) -> tuple[int, Iterable[str]]:

@@ -149,6 +149,10 @@ def _apery_pass(mask: int, frobenius: int) -> tuple[int, ...] | None:
     return None if sums & mask else (m, *_bits(apery & ~sums))
 
 
+#: The keys of a semigroup's ``to_json_dict``, in order, which ``_json_writer`` writes too.
+_JSON_FIELDS = ("generators", "gaps", "frobenius", "genus", "multiplicity", "depth")
+
+
 @total_ordering
 class NumericalSemigroup:
     """A co-finite additive submonoid of the nonnegative integers."""
@@ -329,14 +333,8 @@ class NumericalSemigroup:
         return f"NumericalSemigroup(gaps={list(self.gaps)})"
 
     def to_json_dict(self) -> dict:
-        return {
-            "generators": list(self.min_generators),
-            "gaps": list(self.gaps),
-            "frobenius": self.frobenius,
-            "genus": self.genus,
-            "multiplicity": self.multiplicity,
-            "depth": self.depth(),
-        }
+        return dict(zip(_JSON_FIELDS, (list(self.min_generators), list(self.gaps), self.frobenius,
+                                       self.genus, self.multiplicity, self.depth())))
 
 
 #: The full set of nonnegative integers.

@@ -10,10 +10,10 @@ motivating instance; the predicate is pluggable.
 
 from bisect import bisect_left
 from functools import partial
-from itertools import compress
-from typing import Iterable, Iterator
+from itertools import chain
+from typing import Iterator
 
-from .core import _DIGIT_VALUES, NATURALS, NumericalSemigroup, _Record
+from .core import NATURALS, NumericalSemigroup, _Record
 from .doubles import _bounded_doubles
 from .errors import PredicateNotClosed, UnknownFormat
 
@@ -106,47 +106,9 @@ def enumerate_tree(
                        tuple(tuple(kids[i]) for i in order))
 
 
-def _json_array(items: Iterable[str]) -> Iterator[str]:
-    """A top-level key's array of ``items`` in pieces, laid out as ``json.dumps(..., indent=2)``."""
-    head = "[\n    "
-    for item in items:
-        yield head + item
-        head = ",\n    "
-    yield "[]" if head[0] == "[" else "\n  ]"
-
-
 def _name(s: NumericalSemigroup, num: list[str]) -> str:
     """``str(s)``, its generators looked up in the number table."""
     return "<" + ",".join(map(num.__getitem__, s.min_generators)) + ">"
-
-
-def _json_node(s: NumericalSemigroup, items: list[str]) -> str:
-    """``to_json_dict`` in the node list: the mask's digits pick ``items[i]``, i after a separator."""
-    digits = bin(s.gap_mask)[:1:-1].encode().translate(_DIGIT_VALUES)  # as in core._bits
-    gens = s.min_generators
-    f, m = s.frobenius, gens[0]
-    gaps = f'[{"".join(compress(items, digits))[1:]}\n      ]' if f > 0 else "[]"
-    return (
-        f'{{\n      "generators": [{"".join(map(items.__getitem__, gens))[1:]}\n      ],'
-        f'\n      "gaps": {gaps},\n      "frobenius": {f},\n      "genus": {digits.count(1)},'
-        f'\n      "multiplicity": {m},\n      "depth": {-(-(f + 1) // m)}\n    }}'
-    )
-
-
-def _tree_json(tree: VarietyTree, num: list[str]) -> Iterator[str]:
-    """``{"nodes": [...], "edges": [...]}`` as ``json.dumps(..., indent=2) + "\\n"`` writes it.
-
-    A node is its ``to_json_dict``, in canonical order; an edge is the pair
-    of positions of parent and child.  The pure-Python encoder that ``indent``
-    selects costs more than the walk; the layout is fixed, so it is written here.
-    """
-    items = [",\n        " + i for i in num]
-    yield '{\n  "nodes": '
-    yield from _json_array(_json_node(s, items) for s in tree.nodes)
-    yield ',\n  "edges": '
-    yield from _json_array(f"[\n      {p},\n      {c}\n    ]"
-                           for p, kids in enumerate(tree.children) for c in kids)
-    yield "\n}\n"
 
 
 def _tree_text(tree: VarietyTree, num: list[str]) -> Iterator[str]:
@@ -171,14 +133,17 @@ def _tree_dot(tree: VarietyTree, num: list[str]) -> Iterator[str]:
 def _tree_pieces(tree: VarietyTree, format: str) -> Iterator[str]:
     """:func:`export_tree` in pieces, one per node or edge (per line for text).
 
-    The format is checked first.  ``num[i]`` is ``str(i)`` for every gap
-    and generator: each is at most F + m, and the root's is 1.
+    The format is checked first.  json hands the writer the nodes and the edges as
+    position pairs; ``num[i]`` is ``str(i)`` for each generator (at most F + m, the root's 1).
     """
-    for name, render in (("text", _tree_text), ("dot", _tree_dot), ("json", _tree_json)):
-        if format == name:
-            top = max(s.frobenius + s.min_generators[0] for s in tree.nodes)
-            return render(tree, list(map(str, range(top + 2))))
-    raise UnknownFormat(f"unsupported tree format {format!r}")
+    if format == "json":
+        from ._json_writer import _json_pieces
+        edges = [(p, c) for p, kids in enumerate(tree.children) for c in kids]
+        return chain(_json_pieces({"nodes": tree.nodes, "edges": edges}), ("\n",))
+    if format not in ("text", "dot"):
+        raise UnknownFormat(f"unsupported tree format {format!r}")
+    num = list(map(str, range(max(s.frobenius + s.min_generators[0] for s in tree.nodes) + 2)))
+    return (_tree_text if format == "text" else _tree_dot)(tree, num)
 
 
 def export_tree(tree: VarietyTree, format: str) -> str:

@@ -16,6 +16,7 @@ from numsem import (
     ALL_SEMIGROUPS,
     DoubleLabel,
     NumericalSemigroup,
+    arithmetic_extensions,
     cli,
     depth_predicate,
     enumerate_tree,
@@ -204,6 +205,16 @@ class TestGoldenOutputs:
         code, out, _ = run(capsys, "tree", "--frobenius-bound", "12", "--format", "json")
         assert code == 0
         assert out == json.dumps(tree_json_dict(enumerate_tree(12)), indent=2) + "\n"
+
+    def test_large_json_is_json_dumps_of_the_record(self, capsys):
+        """One semigroup with 499,500 gaps, and a family of 11,336 members."""
+        info = NumericalSemigroup.from_generators([1000, 1001])
+        family = arithmetic_extensions(NumericalSemigroup.from_generators([40, 41]))
+        assert (info.genus, len(family)) == (499500, 11336)
+        for argv, record in ((("info", "1000,1001"), info), (("extensions", "40,41"), family)):
+            code, out, err = run(capsys, *argv, "--format", "json")
+            assert (code, err) == (0, "")
+            assert out == json.dumps(record.to_json_dict(), indent=2) + "\n", argv
 
 
 class TestDeterminismAndOutput:
@@ -496,6 +507,18 @@ class TestStartup:
         assert "numsem.cli" in added
         assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize", "json"}
 
+    def test_json_output_never_imports_json(self):
+        """``python -m numsem`` writes JSON without the ``json`` module, lone semigroup or tree."""
+        env = {**os.environ, "PYTHONPATH": str(Path(numsem.__file__).parents[1])}
+        for argv in (("info", "3,5"), ("tree", "--frobenius-bound", "6")):
+            child = subprocess.run([sys.executable, "-X", "importtime", "-m", "numsem", *argv,
+                                    "--format", "json"], capture_output=True, text=True,
+                                   timeout=60, env=env, check=True)
+            imported = {line.rsplit("|", 1)[1].strip() for line in child.stderr.splitlines()
+                        if line.startswith("import time:")}
+            assert "numsem.cli" in imported and json.loads(child.stdout), argv
+            assert not {name for name in imported if name.split(".")[0] in ("json", "_json")}
+
     def test_package_import_is_lazy_and_the_cli_loads_every_layer(self):
         """``import numsem`` loads no submodule and a name loads only its own; the CLI
         loads all six layers, which ``benchmarks/trace_child.py`` reads from ``sys.modules``."""
@@ -560,3 +583,17 @@ class TestStartup:
                                        text=True, timeout=60, env={**os.environ, "PYTHONPATH": path})
                 assert (child.returncode, child.stdout, child.stderr) == (
                     code, in_process[1] + "frozen at exit: True\n", in_process[2]), entry
+
+
+class TestOutputDigest:
+    def test_every_case_prints_the_bytes_of_the_fixture(self):
+        """``tools/output_digest.py``, run in a child process, hashes 486 invocations; each
+        case line must equal the committed one.  A change of output on purpose changes
+        ``tests/fixtures/output_digest.txt`` in the same diff."""
+        root = Path(__file__).resolve().parents[1]
+        listing = subprocess.run([sys.executable, str(root / "tools" / "output_digest.py")],
+                                 capture_output=True, text=True, timeout=300, check=True).stdout
+        *cases, total = listing.splitlines()
+        want = (root / "tests" / "fixtures" / "output_digest.txt").read_text().splitlines()
+        assert len(want) == 486 and total.startswith("total ")
+        assert cases == want, [case for case, line in zip(cases, want) if case != line]
