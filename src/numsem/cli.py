@@ -10,18 +10,48 @@ A failed write, to either, is a domain error.
 
 import argparse
 import gc
+import importlib.util
 import io
 import os
 import sys
+from _thread import RLock
 from itertools import chain, islice
+from types import ModuleType
 from typing import Callable, Iterable, Iterator
 
 from .core import NumericalSemigroup, proportionally_modular
-from .doubles import DoubleLabel, build_double, doubles_bounded, upper_m_sets
 from .errors import SemigroupError
-from .oracle import _half_index, all_semigroups_up_to, extension_oracle
-from .tree import ALL_SEMIGROUPS, _tree_pieces, depth_predicate, enumerate_tree
-from .varieties import _family_hull, arithmetic_extensions, is_arithmetic_extension, smallest_variety
+
+_RUNNING = RLock()  # re-entrant: a running layer reads its own module and imports others
+
+
+class _Layer(ModuleType):
+    """A module whose code runs on the first access to any attribute, in one thread while
+    the others wait; only then does it turn plain, so no thread meets it half run
+    (``importlib.util.LazyLoader`` turns it plain first, below Python 3.13)."""
+
+    def __getattribute__(self, attr: str) -> object:
+        with _RUNNING:
+            spec = ModuleType.__getattribute__(self, "__spec__")
+            if type(self) is _Layer and spec.loader_state is None:
+                spec.loader_state = "running"
+                spec.loader.exec_module(self)
+                self.__class__ = ModuleType
+        return ModuleType.__getattribute__(self, attr)
+
+
+def _layer(name: str) -> ModuleType:
+    """``numsem.NAME`` as imported already, or else registered as a ``_Layer``, in
+    ``sys.modules`` and on the package as an import would: a verb runs only its layers."""
+    full = f"{__package__}.{name}"
+    if full not in sys.modules:
+        module = sys.modules[full] = importlib.util.module_from_spec(importlib.util.find_spec(full))
+        module.__class__ = _Layer
+        setattr(sys.modules[__package__], name, module)
+    return sys.modules[full]
+
+
+doubles, oracle, tree, varieties = map(_layer, ("doubles", "oracle", "tree", "varieties"))
 
 
 def _generators(text: str) -> list[int]:
@@ -85,11 +115,12 @@ def _semigroup_text(s: NumericalSemigroup) -> Iterator[str]:
     )
 
 
-def _double_line(label: DoubleLabel, t: NumericalSemigroup) -> str:
+# A layer's class is named in a string: evaluated when the function is made, it would run the layer.
+def _double_line(label: "doubles.DoubleLabel", t: NumericalSemigroup) -> str:
     return f"{label} = {t} F={t.frobenius}\n"
 
 
-def _double_json(label: DoubleLabel, t: NumericalSemigroup) -> dict:
+def _double_json(label: "doubles.DoubleLabel", t: NumericalSemigroup) -> dict:
     return {**label.to_json_dict(), "semigroup": t}
 
 
@@ -124,77 +155,79 @@ def _cmd_pm(args) -> tuple[int, Iterable[str]]:
 
 
 def _cmd_extensions(args) -> tuple[int, Iterable[str]]:
-    family = arithmetic_extensions(NumericalSemigroup.from_generators(args.generators))
+    family = varieties.arithmetic_extensions(NumericalSemigroup.from_generators(args.generators))
     # family.to_json_dict(), but with the members whole, so that the writer uses its number table
     return 0, _render(args, {"members": family.members}, (f"{s}\n" for s in family))
 
 
 def _cmd_variety(args) -> tuple[int, Iterable[str]]:
-    family = smallest_variety([NumericalSemigroup.from_generators(g) for g in args.generators])
+    family = varieties.smallest_variety(
+        [NumericalSemigroup.from_generators(g) for g in args.generators])
     return 0, _render(args, {"members": family.members}, (f"{s}\n" for s in family))  # as above
 
 
 def _cmd_is_extension(args) -> tuple[int, Iterable[str]]:
     s = NumericalSemigroup.from_generators(args.base)
     t = NumericalSemigroup.from_generators(args.candidate)
-    answer = is_arithmetic_extension(s, t)
+    answer = varieties.is_arithmetic_extension(s, t)
     return 0, _render(args, answer, ("true\n" if answer else "false\n",))
 
 
 def _cmd_hull(args) -> tuple[int, Iterable[str]]:
     family = [NumericalSemigroup.from_generators(g) for g in args.generators]
-    hull = _family_hull(family, args.elements)
+    hull = varieties._family_hull(family, args.elements)
     return 0, _render(args, hull, (f"{hull}\n",))
 
 
 def _cmd_upper_sets(args) -> tuple[int, Iterable[str]]:
     s = NumericalSemigroup.from_generators(args.generators)
-    sets = [sorted(h) for h in upper_m_sets(s, args.modulus)]
+    sets = [sorted(h) for h in doubles.upper_m_sets(s, args.modulus)]
     return 0, _render(args, sets, ("{" + ",".join(map(str, h)) + "}\n" for h in sets))
 
 
 def _cmd_double(args) -> tuple[int, Iterable[str]]:
     s = NumericalSemigroup.from_generators(args.generators)
-    label = DoubleLabel(args.modulus, frozenset(args.upper_set))
-    t = build_double(s, label.m, label.upper_set)
+    label = doubles.DoubleLabel(args.modulus, frozenset(args.upper_set))
+    t = doubles.build_double(s, label.m, label.upper_set)
     return 0, _render(args, _double_json(label, t), (_double_line(label, t),))
 
 
 def _cmd_doubles(args) -> tuple[int, Iterable[str]]:
     s = NumericalSemigroup.from_generators(args.generators)
-    results = doubles_bounded(s, args.frobenius_bound)
+    results = doubles.doubles_bounded(s, args.frobenius_bound)
     return 0, _render(args, [_double_json(label, t) for label, t in results],
                       (_double_line(label, t) for label, t in results))
 
 
 def _cmd_tree(args) -> tuple[int, Iterable[str]]:
-    predicate = ALL_SEMIGROUPS if args.depth is None else depth_predicate(args.depth)
-    return 0, _tree_pieces(enumerate_tree(args.frobenius_bound, predicate), args.format)
+    predicate = tree.ALL_SEMIGROUPS if args.depth is None else tree.depth_predicate(args.depth)
+    return 0, tree._tree_pieces(tree.enumerate_tree(args.frobenius_bound, predicate), args.format)
 
 
 def _cmd_enumerate_all(args) -> tuple[int, Iterable[str]]:
-    report = all_semigroups_up_to(args.frobenius_bound)
+    report = oracle.all_semigroups_up_to(args.frobenius_bound)
     return 0, _render(args, report, (f"{s}\n" for s in report.semigroups))
 
 
 def _cmd_oracle_check(args) -> tuple[int, Iterable[str]]:
     bound = args.frobenius_bound
-    top = all_semigroups_up_to(bound)  # one 2^bound walk serves every smaller bound
-    tree_ok = sum(enumerate_tree(f).nodes == top.up_to(f).semigroups for f in range(1, bound + 1))
+    top = oracle.all_semigroups_up_to(bound)  # one 2^bound walk serves every smaller bound
+    tree_ok = sum(tree.enumerate_tree(f).nodes == top.up_to(f).semigroups
+                  for f in range(1, bound + 1))
     lines = [f"{'ok' if tree_ok == bound else 'MISMATCH'} tree-vs-bruteforce: "
              f"{tree_ok}/{bound} bounds agree\n"]
 
-    halves = _half_index(top)
+    halves = oracle._half_index(top)
     small = [s for s in top.semigroups if s.frobenius <= bound // 2]
     bad = [(s, f) for s in small for f in range(1, bound + 1)
-           if [t for _, t in doubles_bounded(s, f)]
+           if [t for _, t in doubles.doubles_bounded(s, f)]
            != [t for t in halves.get(s.gap_mask, ()) if t.frobenius <= f]]
     lines += [f"MISMATCH doubles-vs-bruteforce: S={s} F={f}\n" for s, f in bad] or [
         f"ok doubles-vs-bruteforce: {len(small)} semigroups x {bound} bounds agree\n"]
 
     candidates = [s for s in top.semigroups if s.frobenius <= min(bound, 8)]
     bad_ext = [s for s in candidates
-               if arithmetic_extensions(s).members != extension_oracle(s).members]
+               if varieties.arithmetic_extensions(s).members != oracle.extension_oracle(s).members]
     lines += [f"MISMATCH extensions-vs-bruteforce: S={s}\n" for s in bad_ext] or [
         f"ok extensions-vs-bruteforce: {len(candidates)} semigroups agree\n"]
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import types
 from pathlib import Path
 
 import pytest
@@ -260,7 +261,7 @@ class TestDeterminismAndOutput:
             tracemalloc.reset_peak()
             return tree
 
-        monkeypatch.setattr(cli, "enumerate_tree", walked)
+        monkeypatch.setattr(numsem.tree, "enumerate_tree", walked)
         with open(os.devnull, "w", encoding="utf-8") as sink:
             monkeypatch.setattr(sys, "stdout", sink)
             tracemalloc.start()
@@ -353,14 +354,14 @@ class TestExitCodes:
         assert out.endswith("oracle-check: PASS\n")
 
     def test_oracle_check_reports_mismatches(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "doubles_bounded", lambda s, f: [])
+        monkeypatch.setattr(numsem.doubles, "doubles_bounded", lambda s, f: [])
         code, out, _ = run(capsys, "oracle-check", "--frobenius-bound", "3")
         assert (code, out) == (1, "ok tree-vs-bruteforce: 3/3 bounds agree\n" + "".join(
             f"MISMATCH doubles-vs-bruteforce: S={s} F={f}\n"
             for s, f in (("<1>", 1), ("<1>", 2), ("<1>", 3), ("<2,3>", 2), ("<2,3>", 3)))
             + "ok extensions-vs-bruteforce: 5 semigroups agree\noracle-check: FAIL\n")
         monkeypatch.undo()
-        monkeypatch.setattr(cli, "enumerate_tree", lambda f: enumerate_tree(1))
+        monkeypatch.setattr(numsem.tree, "enumerate_tree", lambda f: enumerate_tree(1))
         code, out, _ = run(capsys, "oracle-check", "--frobenius-bound", "3")
         assert (code, out.splitlines()[0]) == (1, "MISMATCH tree-vs-bruteforce: 1/3 bounds agree")
         assert out.endswith("oracle-check: FAIL\n")
@@ -521,7 +522,7 @@ class TestStartup:
 
     def test_package_import_is_lazy_and_the_cli_loads_every_layer(self):
         """``import numsem`` loads no submodule and a name loads only its own; the CLI
-        loads all six layers, which ``benchmarks/trace_child.py`` reads from ``sys.modules``."""
+        registers all six layers, which ``benchmarks/trace_child.py`` reads from ``sys.modules``."""
         def numsem_modules(code: str) -> set[str]:
             return {name for name in modules_added_by(code) if name.startswith("numsem.")}
 
@@ -529,6 +530,98 @@ class TestStartup:
         assert numsem_modules("from numsem import NumericalSemigroup") == {"numsem.core", "numsem.errors"}
         layers = {f"numsem.{name}" for name in ("core", "doubles", "errors", "oracle", "tree", "varieties")}
         assert numsem_modules("import numsem.cli") == layers | {"numsem.cli"}
+
+    def test_each_verb_runs_only_the_layers_it_calls(self):
+        """A fresh interpreter running one verb executes these ``numsem`` modules and no
+        other; a layer it never calls stays registered and unrun."""
+        listing = ("import os, sys, types; from numsem.cli import main; "
+                   "code = main(sys.argv[1:] + ['--output', os.devnull]); "
+                   "print(code, *sorted(name for name, m in sys.modules.items() "
+                   "if name.startswith('numsem.') and type(m) is types.ModuleType))")
+        env = {**os.environ, "PYTHONPATH": str(Path(numsem.__file__).parents[1])}
+        base = ["cli", "core", "errors"]
+        for argv, layers in ((["variety", "4,6,7,9", "3,5"], ["varieties"]),
+                             (["tree", "--frobenius-bound", "8"], ["doubles", "tree"]),
+                             (["tree", "--frobenius-bound", "8", "--format", "json"],
+                              ["_json_writer", "doubles", "tree"]),
+                             (["oracle-check", "--frobenius-bound", "6"],
+                              ["doubles", "oracle", "tree", "varieties"])):
+            child = subprocess.run([sys.executable, "-c", listing, *argv], env=env, check=True,
+                                   capture_output=True, text=True, timeout=60)
+            assert child.stdout.split() == ["0", *sorted(f"numsem.{name}" for name in base + layers)], argv
+
+    def test_a_layer_is_one_module_whether_imported_before_or_after_the_cli(self):
+        """A layer imported before ``numsem.cli`` is the one the CLI uses, and one the CLI
+        registered is on the package, so ``numsem.doubles.upper_m_sets`` resolves."""
+        check = """if True:
+            import importlib, sys
+            first = [importlib.import_module(f"numsem.{name}") for name in sys.argv[1:]]
+            import numsem.cli, numsem.doubles, numsem.oracle, numsem.tree, numsem.varieties
+            for name in ("doubles", "oracle", "tree", "varieties"):
+                module = sys.modules[f"numsem.{name}"]
+                assert getattr(numsem, name) is getattr(numsem.cli, name) is module, name
+                assert importlib.import_module(f"numsem.{name}") is module, name
+            assert all(module is sys.modules[module.__name__] for module in first)
+            for name, home in numsem._HOME.items():
+                assert getattr(numsem, name) is getattr(sys.modules[f"numsem.{home}"], name), name
+            print(numsem.doubles.upper_m_sets.__module__, numsem.tree.enumerate_tree.__module__)
+        """
+        env = {**os.environ, "PYTHONPATH": str(Path(numsem.__file__).parents[1])}
+        for first in ((), ("doubles",), ("tree", "varieties"), ("doubles", "oracle", "tree", "varieties")):
+            child = subprocess.run([sys.executable, "-c", check, *first], env=env, check=True,
+                                   capture_output=True, text=True, timeout=60)
+            assert child.stdout == "numsem.doubles numsem.tree\n", first
+
+    def test_threads_that_first_use_the_layers_together_each_meet_them_whole(self):
+        """Twelve threads reach the four unrun layers at once, with a short switch interval:
+        none may find a layer, or a layer a name it imports, half run."""
+        check = """if True:
+            import sys, threading
+            import numsem.cli
+            sys.setswitchinterval(1e-6)
+            uses = [("doubles", "upper_m_sets"), ("oracle", "all_semigroups_up_to"),
+                    ("tree", "enumerate_tree"), ("varieties", "smallest_variety")] * 3
+            start, failed = threading.Barrier(len(uses)), []
+            def use(layer, name):
+                start.wait()
+                try:
+                    getattr(getattr(numsem.cli, layer), name)
+                except Exception as exc:
+                    failed.append(repr(exc))
+            threads = [threading.Thread(target=use, args=pair) for pair in uses]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+            print(sum(thread.is_alive() for thread in threads), failed)
+        """
+        for _ in range(3):
+            assert fresh_interpreter(check) == "0 []\n"
+
+    def test_the_layer_helper_keeps_an_imported_layer_and_registers_a_missing_one(self, monkeypatch):
+        assert cli._layer("tree") is sys.modules["numsem.tree"] is numsem.tree is cli.tree
+        monkeypatch.delitem(sys.modules, "numsem.oracle")
+        monkeypatch.delattr(numsem, "oracle")
+        module = cli._layer("oracle")
+        assert sys.modules["numsem.oracle"] is module is numsem.oracle
+        assert type(module) is not types.ModuleType  # registered, not yet run
+        assert module.all_semigroups_up_to(6).semigroups == numsem.all_semigroups_up_to(6).semigroups
+        assert type(module) is types.ModuleType
+
+    def test_records_unpickle_in_an_interpreter_that_imported_the_cli_first(self):
+        """Pickles name the layers' modules, which the CLI registered and has not yet run."""
+        values = (DoubleLabel(5, frozenset({3, 6})), arithmetic_extensions(
+            NumericalSemigroup.from_generators([3, 5])), enumerate_tree(6))
+        check = ("import pickle, sys, types, numsem.cli; "
+                 "unrun = [type(sys.modules[f'numsem.{name}']) is not types.ModuleType "
+                 "for name in ('doubles', 'tree', 'varieties')]; "
+                 "got = pickle.loads(sys.stdin.buffer.read()); "
+                 "from numsem import DoubleLabel, NumericalSemigroup, arithmetic_extensions, enumerate_tree; "
+                 "want = (DoubleLabel(5, frozenset({3, 6})), arithmetic_extensions("
+                 "NumericalSemigroup.from_generators([3, 5])), enumerate_tree(6)); "
+                 "sys.stdout.write(repr((all(unrun), got == want)))")
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert fresh_interpreter(check, pickle.dumps(values, protocol)) == "(True, True)"
 
     def test_records_unpickle_in_an_interpreter_that_imported_only_pickle(self):
         values = (NumericalSemigroup.from_generators([4, 5, 11]), DoubleLabel(5, frozenset({3, 6})),

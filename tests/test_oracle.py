@@ -22,7 +22,7 @@ from numsem import (
     arithmetic_extensions,
     extension_oracle,
 )
-import numsem.cli as cli_module
+import numsem.oracle as oracle_module
 from numsem.cli import main
 from numsem.core import _apery_pass
 from numsem.oracle import _closed_by_shifts, _half_index
@@ -136,7 +136,7 @@ class TestOneWalkAndHalfIndex:
             bounds.append(bound)
             return all_semigroups_up_to(bound)
 
-        monkeypatch.setattr(cli_module, "all_semigroups_up_to", counting)
+        monkeypatch.setattr(oracle_module, "all_semigroups_up_to", counting)
         assert main(["oracle-check", "--frobenius-bound", "9"]) == 0
         assert capsys.readouterr().out.endswith("oracle-check: PASS\n")
         assert bounds == [9]
