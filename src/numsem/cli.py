@@ -33,7 +33,7 @@ class _Layer(ModuleType):
     def __getattribute__(self, attr: str) -> object:
         with _RUNNING:
             spec = ModuleType.__getattribute__(self, "__spec__")
-            if type(self) is _Layer and spec.loader_state is None:
+            if spec.loader_state is None:  # the first access: the code has not started
                 spec.loader_state = "running"
                 spec.loader.exec_module(self)
                 self.__class__ = ModuleType

@@ -487,10 +487,10 @@ class TestWorkLimits:
         assert time.monotonic() - start < 10
 
 
-def fresh_interpreter(code: str, stdin: bytes = b"") -> str:
-    """Run ``code`` in a new interpreter that finds this numsem; return its stdout."""
+def fresh_interpreter(code: str, stdin: bytes = b"", argv: tuple[str, ...] = ()) -> str:
+    """Run ``code`` with ``argv`` in a new interpreter that finds this numsem; return its stdout."""
     env = {**os.environ, "PYTHONPATH": str(Path(numsem.__file__).parents[1])}
-    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env, check=True,
                           input=stdin, capture_output=True, timeout=60)
     return done.stdout.decode()
 
@@ -538,17 +538,15 @@ class TestStartup:
                    "code = main(sys.argv[1:] + ['--output', os.devnull]); "
                    "print(code, *sorted(name for name, m in sys.modules.items() "
                    "if name.startswith('numsem.') and type(m) is types.ModuleType))")
-        env = {**os.environ, "PYTHONPATH": str(Path(numsem.__file__).parents[1])}
         base = ["cli", "core", "errors"]
-        for argv, layers in ((["variety", "4,6,7,9", "3,5"], ["varieties"]),
-                             (["tree", "--frobenius-bound", "8"], ["doubles", "tree"]),
-                             (["tree", "--frobenius-bound", "8", "--format", "json"],
+        for argv, layers in ((("variety", "4,6,7,9", "3,5"), ["varieties"]),
+                             (("tree", "--frobenius-bound", "8"), ["doubles", "tree"]),
+                             (("tree", "--frobenius-bound", "8", "--format", "json"),
                               ["_json_writer", "doubles", "tree"]),
-                             (["oracle-check", "--frobenius-bound", "6"],
+                             (("oracle-check", "--frobenius-bound", "6"),
                               ["doubles", "oracle", "tree", "varieties"])):
-            child = subprocess.run([sys.executable, "-c", listing, *argv], env=env, check=True,
-                                   capture_output=True, text=True, timeout=60)
-            assert child.stdout.split() == ["0", *sorted(f"numsem.{name}" for name in base + layers)], argv
+            ran = fresh_interpreter(listing, argv=argv).split()
+            assert ran == ["0", *sorted(f"numsem.{name}" for name in base + layers)], argv
 
     def test_a_layer_is_one_module_whether_imported_before_or_after_the_cli(self):
         """A layer imported before ``numsem.cli`` is the one the CLI uses, and one the CLI
@@ -566,11 +564,8 @@ class TestStartup:
                 assert getattr(numsem, name) is getattr(sys.modules[f"numsem.{home}"], name), name
             print(numsem.doubles.upper_m_sets.__module__, numsem.tree.enumerate_tree.__module__)
         """
-        env = {**os.environ, "PYTHONPATH": str(Path(numsem.__file__).parents[1])}
         for first in ((), ("doubles",), ("tree", "varieties"), ("doubles", "oracle", "tree", "varieties")):
-            child = subprocess.run([sys.executable, "-c", check, *first], env=env, check=True,
-                                   capture_output=True, text=True, timeout=60)
-            assert child.stdout == "numsem.doubles numsem.tree\n", first
+            assert fresh_interpreter(check, argv=first) == "numsem.doubles numsem.tree\n", first
 
     def test_threads_that_first_use_the_layers_together_each_meet_them_whole(self):
         """Twelve threads reach the four unrun layers at once, with a short switch interval:
