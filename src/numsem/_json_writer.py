@@ -3,6 +3,7 @@ on first use, as they once imported ``json``, so that a text run never compiles 
 
 import operator
 from itertools import chain, compress
+from operator import attrgetter
 from typing import Callable, Iterator
 
 from .core import _DIGIT_VALUES, _JSON_FIELDS, NumericalSemigroup
@@ -34,7 +35,8 @@ def _json_pieces(value, level: int = 0) -> Iterator[str]:
     It takes ints, bools, lists, tuples, dicts with keys that JSON writes as they are (names
     and numbers) and records, semigroups too, by ``to_json_dict()``.  A list of ints is one
     join, as a semigroup's gaps are in its text; a list of int rows is type-checked once and
-    written by a %-template per length; a list of semigroups uses one table up to its F + m.
+    written by a %-template per length, or by one per 256 rows when all have one length; a
+    list of semigroups uses one table up to its F + m.
     """
     pad = "\n" + "  " * level  # the line of the closing bracket
     inner = pad + "  "
@@ -54,16 +56,25 @@ def _json_pieces(value, level: int = 0) -> Iterator[str]:
     elif (kinds := set(map(type, value))) <= {int}:
         yield f"[{inner}{f',{inner}'.join(map(str, value))}{pad}]"
     else:
+        head, comma = "[" + inner, "," + inner
         if kinds == {NumericalSemigroup}:
-            num = list(map(str, range(max(s._mask.bit_length() + s._msg[0] for s in value) + 1)))
+            masks, msgs = map(attrgetter("_mask"), value), map(attrgetter("_msg"), value)
+            # a generator or gap is at most F + m, less than the largest mask's bit length plus
+            # the largest multiplicity, max(msgs)[0]: a pass in C each, no Python step per member
+            num = list(map(str, range(max(masks).bit_length() + max(msgs)[0] + 1)))
             rows = map(_semigroup_writer(level + 1, num), value)
-        elif kinds <= {list, tuple} and set(map(type, chain.from_iterable(value))) <= {int}:
+        elif (kinds <= {list, tuple}
+              and set(map(type, ints := tuple(chain.from_iterable(value)))) <= {int}):
             forms = {n: f"[{inner}  {(',' + inner + '  ').join(['%d'] * n)}{inner}]" if n else "[]"
                      for n in set(map(len, value))}
-            rows = map(operator.mod, map(forms.__getitem__, map(len, value)), map(tuple, value))
+            if len(forms) == 1 and ints:  # n > 0 ints in every row: a %-format per 256 rows
+                n, form = forms.popitem()
+                rows = (comma.join([form] * (len(block) // n)) % block
+                        for block in (ints[at:at + 256 * n] for at in range(0, len(ints), 256 * n)))
+            else:
+                rows = map(operator.mod, map(forms.__getitem__, map(len, value)), map(tuple, value))
         else:
             rows = ("".join(_json_pieces(item, level + 1)) for item in value)
-        head, comma = "[" + inner, "," + inner
         for row in rows:
             yield head + row
             head = comma

@@ -2,13 +2,13 @@
 
 Output is byte-deterministic for fixed inputs.  Exit codes: 0 success,
 1 domain error (the error class name is printed to stderr), 2 usage
-error (argparse).  ``--output PATH`` writes exactly the bytes that
-would have gone to stdout, and every verb writes them as it renders them,
-text or JSON, about a buffer at a time.
+error (argparse, imported only for help, usage and errors: see
+:func:`_parse`).  ``--output PATH`` writes exactly the bytes that would
+have gone to stdout, and every verb writes them as it renders them, text
+or JSON, about a buffer at a time.
 A failed write, to either, is a domain error.
 """
 
-import argparse
 import gc
 import importlib.util
 import io
@@ -16,8 +16,8 @@ import os
 import sys
 from _thread import RLock
 from itertools import chain, islice
-from types import ModuleType
-from typing import Callable, Iterable, Iterator
+from types import ModuleType, SimpleNamespace
+from typing import Callable, Iterable, Iterator, NoReturn
 
 from .core import NumericalSemigroup, proportionally_modular
 from .errors import SemigroupError
@@ -54,15 +54,18 @@ def _layer(name: str) -> ModuleType:
 doubles, oracle, tree, varieties = map(_layer, ("doubles", "oracle", "tree", "varieties"))
 
 
+def _reject(message: str) -> NoReturn:
+    import argparse  # only a rejected value and the full parser need it
+    raise argparse.ArgumentTypeError(message)
+
+
 def _generators(text: str) -> list[int]:
     try:
         parts = [int(p) for p in text.split(",") if p]
     except ValueError:
         parts = []
     if not parts or min(parts) < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated positive integers, got {text!r}"
-        )
+        _reject(f"expected comma-separated positive integers, got {text!r}")
     return parts
 
 
@@ -70,11 +73,9 @@ def _element_list(text: str) -> list[int]:
     try:
         parts = [int(p) for p in text.split(",") if p]
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated nonnegative integers, got {text!r}"
-        )
+        _reject(f"expected comma-separated nonnegative integers, got {text!r}")
     if parts and min(parts) < 0:
-        raise argparse.ArgumentTypeError("elements must be nonnegative")
+        _reject("elements must be nonnegative")
     return parts
 
 
@@ -83,9 +84,9 @@ def _int_at_least(low: int, kind: str) -> Callable[[str], int]:
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+            _reject(f"expected an integer, got {text!r}")
         if value < low:
-            raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {value}")
+            _reject(f"expected a {kind} integer, got {value}")
         return value
 
     return parse
@@ -279,33 +280,71 @@ _VERBS = {
 }
 
 
-def _add_arguments(parser: argparse.ArgumentParser, handler: Callable, formats: tuple[str, ...],
-                   arguments) -> argparse.ArgumentParser:
-    parser.set_defaults(handler=handler)
-    if formats:
-        arguments = (("--format", {"choices": formats, "default": "text"}), _OUTPUT, *arguments)
-    for name, options in arguments:
-        parser.add_argument(name, **options)
-    return parser
+def _arguments(formats: tuple[str, ...], arguments) -> tuple:
+    """A verb's (name, options) pairs: with formats, --format and --output come first."""
+    formatted = (("--format", {"choices": formats, "default": "text"}), _OUTPUT)
+    return formatted + arguments if formats else arguments
 
 
-def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every verb, or of ``verb`` alone.
+def build_parser() -> "argparse.ArgumentParser":
+    """The parser of every verb, which prints the help, the usage and the errors."""
+    import argparse
 
-    A verb's parser alone is the one the full parser hands the arguments
-    after the verb to, so it prints the same help and the same errors.
-    """
-    if verb is not None:
-        return _add_arguments(argparse.ArgumentParser(prog=f"numsem {verb}"), *_VERBS[verb][1:])
     parser = argparse.ArgumentParser(
         prog="numsem",
         description="Numerical semigroups: invariants, quotients, closed families, "
         "bounded doubles and depth-bounded tree enumeration.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    for name, (help_text, *row) in _VERBS.items():
-        _add_arguments(sub.add_parser(name, help=help_text), *row)
+    for name, (help_text, handler, formats, arguments) in _VERBS.items():
+        verb = sub.add_parser(name, help=help_text)
+        verb.set_defaults(handler=handler)
+        for argument, options in _arguments(formats, arguments):
+            verb.add_argument(argument, **options)
     return parser
+
+
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """The full parser's namespace for ``argv`` but ``verb``, read from ``_VERBS``; None leaves
+    ``argv`` to that parser.  It reads a verb, its options once each as ``--name value`` or
+    ``--name=value``, no value empty or starting with "-", and its positionals in one run."""
+    if not argv or argv[0] not in _VERBS:
+        return None
+    _, handler, formats, arguments = _VERBS[argv[0]]
+    arguments, given, run, ended = _arguments(formats, arguments), {}, [], False
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-":
+            if ended:
+                return None
+            run.append(token)
+            continue
+        ended = bool(run)
+        name, equals, value = token.partition("=")
+        value = value if equals else next(tokens, "")
+        if name in given or value[:1] in ("", "-") or name not in dict(arguments):
+            return None
+        given[name] = value
+    namespace = {"handler": handler}
+    for name, options in arguments:
+        dest = name.lstrip("-").replace("-", "_")
+        if name[0] != "-":  # a positional: one, or with nargs "+" all that are left
+            texts, run = (run, []) if options.get("nargs") else (run[:1], run[1:])
+        elif name in given:
+            texts = [given[name]]
+        elif options.get("required"):
+            return None
+        else:
+            namespace[dest] = options.get("default")
+            continue
+        try:
+            values = list(map(options.get("type", str), texts))
+        except Exception:  # the type's ArgumentTypeError, which the full parser reports
+            return None
+        if not values or any(value not in options.get("choices", values) for value in values):
+            return None
+        namespace[dest] = values if options.get("nargs") else values[0]
+    return None if run else SimpleNamespace(**namespace)
 
 
 def _chunks(pieces: Iterable[str]) -> Iterator[str]:
@@ -332,14 +371,12 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:  # run as the program
         gc.freeze()  # the imports' objects live until exit: no collection need walk them
         argv = sys.argv[1:]
-    try:
-        args = rest = None
-        if argv and argv[0] in _VERBS:  # build only the parser the verb needs
-            args, rest = build_parser(argv[0]).parse_known_args(argv[1:])
-        if args is None or rest:  # the full parser's usage, help and errors
+    args = _parse(argv)
+    if args is None:  # the full parser's help, usage and errors, and the spellings it alone reads
+        try:
             args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         code, pieces = args.handler(args)
         pieces = _chunks(pieces)

@@ -121,12 +121,6 @@ def _mask_of(gaps: Iterable[int]) -> int:
     return int(digits, 2)
 
 
-def _multiplicity(mask: int) -> int:
-    """Least positive integer that is not a gap."""
-    low = mask | 1
-    return (~low & (low + 1)).bit_length() - 1
-
-
 def _apery_pass(mask: int, frobenius: int) -> tuple[int, ...] | None:
     """The minimal generators, or None unless the complement of the gap mask is closed.
 
@@ -140,12 +134,20 @@ def _apery_pass(mask: int, frobenius: int) -> tuple[int, ...] | None:
     that is a gap, and every shifted bit is a sum, so one AND with the
     gaps decides closure.
     """
-    m = _multiplicity(mask)
+    one = mask | 1
+    m = (~one & (one + 1)).bit_length() - 1  # the least positive integer that is not a gap
     positive = ~mask & ((1 << (frobenius + m + 1)) - 2)  # the nonzero members up to F + m
     apery = positive & ~((positive | 1) << m)  # the nonzero Apery elements, all above m
     sums = positive << m
-    for a in _bits(apery & ((1 << ((frobenius + m) // 2 + 1)) - 1)):
-        sums |= positive << a
+    low = apery & ((1 << ((frobenius + m) // 2 + 1)) - 1)
+    if low.bit_count() > 8:  # the Apery elements up to (F + m)/2, selected as _bits does
+        for a in _bits(low):
+            sums |= positive << a
+    else:  # or peeled off, lowest first
+        while low:
+            a = low & -low
+            sums |= positive << (a.bit_length() - 1)
+            low ^= a
     return None if sums & mask else (m, *_bits(apery & ~sums))
 
 
@@ -160,10 +162,13 @@ class NumericalSemigroup:
     __slots__ = ("_mask", "_msg")
 
     def __init__(self, gaps: Iterable[int] = ()) -> None:
-        self._set_mask(_mask_of(gaps))
+        built = self._from_mask(_mask_of(gaps))
+        self._mask, self._msg = built._mask, built._msg
 
-    def _set_mask(self, mask: int) -> None:
-        # the one validation path of every construction, which caches the generators
+    @classmethod
+    def _from_mask(cls, mask: int) -> "NumericalSemigroup":
+        """Build from a gap mask (bit i set iff i is a gap), validating closure: the one
+        validation path of every construction, which caches the generators."""
         frobenius = mask.bit_length() - 1
         if mask & 1:
             raise NotASemigroup("gaps must be positive integers")
@@ -173,14 +178,9 @@ class NumericalSemigroup:
                 f"the members of the gap set with Frobenius number {frobenius}"
                 " are not closed under addition"
             )
-        self._mask = mask
-        self._msg = msg
-
-    @classmethod
-    def _from_mask(cls, mask: int) -> "NumericalSemigroup":
-        """Build from a gap mask (bit i set iff i is a gap), validating closure."""
         s = cls.__new__(cls)
-        s._set_mask(mask)
+        s._mask = mask
+        s._msg = msg
         return s
 
     def __reduce__(self) -> tuple:

@@ -224,7 +224,7 @@ def _bounded_doubles(gaps: int, bound: int) -> Iterator[tuple[int, int, int]]:
             continue
         # the gaps from `above` on are absorption-closed, as a gap absorbs only larger ones
         above = (bound - m) // 2 + 1
-        low = even | _double_mask(0, m, 0)  # the odd numbers below m
+        low = even | ((1 << (m - 1)) - 1) // 3 << 1  # the even gaps and the odd numbers below m
         found = _upper_masks(gaps, m, principals, gaps >> above << above,
                              even >> 2 * above << 2 * above)
         for h, (_, spread) in found.items():

@@ -11,6 +11,7 @@ motivating instance; the predicate is pluggable.
 from bisect import bisect_left
 from functools import partial
 from itertools import chain
+from operator import attrgetter
 from typing import Iterator
 
 from .core import NATURALS, NumericalSemigroup, _Record
@@ -73,9 +74,11 @@ def enumerate_tree(
     """Breadth-first generation of every accepted semigroup under the bound.
 
     Starting from the full set, each node is expanded into its accepted
-    bounded doubles until none is left; each double is built from its
-    gap mask once, by the one pass that checks its closure and finds the
-    generators it is sorted by.  The nodes are then sorted
+    bounded doubles until none is left.  A double's Frobenius number is
+    at least twice its half's, so a node with 2F > bound is a leaf and is
+    skipped unexpanded.  Each double is built from its gap mask once, by
+    the one pass that checks its closure and finds the generators it is
+    sorted by.  The nodes are then sorted
     once, and filing them under their parents in that order leaves
     every children list canonical.  Completeness needs the
     predicate to be quotient-closed (each node's halving chain must stay
@@ -90,20 +93,24 @@ def enumerate_tree(
     root = NATURALS
     if not predicate.accepts(root):
         raise PredicateNotClosed(f"{predicate.name} rejects {root}")
+    build, accepts, top = NumericalSemigroup._from_mask, predicate.accepts, bound // 2 + 1
     nodes, parents = [root], [0]
     for i, s in enumerate(nodes):  # grows while it is walked; a double is found only under its half
-        for _, _, mask in _bounded_doubles(s.gap_mask, bound):
-            t = NumericalSemigroup._from_mask(mask)  # closure-checked, generators cached
-            if predicate.accepts(t):
+        if s._mask.bit_length() > top:  # 2F > bound: a leaf
+            continue
+        for _, _, mask in _bounded_doubles(s._mask, bound):
+            t = build(mask)  # closure-checked, generators cached
+            if accepts(t):
                 nodes.append(t)
                 parents.append(i)
     positions = list(range(len(nodes)))  # children share these ints; new ones raised peak RSS
-    order = sorted(positions, key=lambda i: nodes[i]._msg)  # nodes[order[r]] goes to r
+    # nodes[order[r]] goes to r; a key that is a list's __getitem__ costs no Python step
+    order = sorted(positions, key=list(map(attrgetter("_msg"), nodes)).__getitem__)
     kids: list[list[int]] = [[] for _ in nodes]  # by walk index: the children's canonical positions
     for r, i in zip(positions[1:], order[1:]):  # the root <1> sorts first
         kids[parents[i]].append(r)
-    return VarietyTree(bound, predicate.name, tuple(nodes[i] for i in order),
-                       tuple(tuple(kids[i]) for i in order))
+    return VarietyTree(bound, predicate.name, tuple(map(nodes.__getitem__, order)),
+                       tuple(map(tuple, map(kids.__getitem__, order))))
 
 
 def _name(s: NumericalSemigroup, num: list[str]) -> str:
@@ -131,7 +138,8 @@ def _tree_dot(tree: VarietyTree, num: list[str]) -> Iterator[str]:
 
 
 def _tree_pieces(tree: VarietyTree, format: str) -> Iterator[str]:
-    """:func:`export_tree` in pieces, one per node or edge (per line for text).
+    """:func:`export_tree` in pieces, one per node or edge (per line for text, per 256 edges
+    for json).
 
     The format is checked first.  json hands the writer the nodes and the edges as
     position pairs; ``num[i]`` is ``str(i)`` for each generator (at most F + m, the root's 1).

@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import io
 import json
@@ -5,12 +6,15 @@ import os
 import pickle
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 import types
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import numsem
 from numsem import (
@@ -389,6 +393,15 @@ BAD_INPUT = {
 }
 
 
+def fixture_helps() -> dict[str, str]:
+    """The help texts of ``HELP_FIXTURE``, by verb ("" for ``numsem --help``)."""
+    helps = {}
+    for part in HELP_FIXTURE.read_text().split("$ numsem ")[1:]:
+        command, text = part.split("\n", 1)
+        helps[command.removesuffix("--help").strip()] = text
+    return helps
+
+
 def full_parser_exit(capsys, argv) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of the full parser on ``argv``, which must exit."""
     with pytest.raises(SystemExit) as exit_:
@@ -397,7 +410,9 @@ def full_parser_exit(capsys, argv) -> tuple[int, str, str]:
 
 
 class TestParsers:
-    """A verb named first gets a parser of its own; everything else the full parser.
+    """A verb named first, with exact options once each and its positionals in one run, is
+    read from ``cli._VERBS`` without argparse; help, usage, errors and every other spelling
+    go to the full parser, ``cli.build_parser()``.
 
     ``tests/fixtures/cli_help.txt`` is the output of ``numsem --help`` and
     ``numsem VERB --help`` for every verb, with ``COLUMNS=80``, each after a
@@ -411,10 +426,7 @@ class TestParsers:
         monkeypatch.setenv("COLUMNS", "80")
 
     def test_help_matches_the_fixture(self, capsys):
-        helps = {}
-        for part in HELP_FIXTURE.read_text().split("$ numsem ")[1:]:
-            command, text = part.split("\n", 1)
-            helps[command.removesuffix("--help").strip()] = text
+        helps = fixture_helps()
         assert list(helps) == ["", *BAD_INPUT]
         for verb, text in helps.items():
             argv = [verb, "--help"] if verb else ["--help"]
@@ -424,7 +436,6 @@ class TestParsers:
     def test_a_verbs_parser_is_the_full_parsers_for_that_verb(self, capsys):
         for verb, bad in BAD_INPUT.items():
             help_text = full_parser_exit(capsys, [verb, "-h"])[1]
-            assert cli.build_parser(verb).format_help() == help_text
             assert run(capsys, verb, "-h") == (0, help_text, "")
             code, out, err = full_parser_exit(capsys, [verb, *bad])
             assert (code, out) == (2, "") and err.startswith(f"usage: numsem {verb} "), err
@@ -436,6 +447,96 @@ class TestParsers:
             expected = full_parser_exit(capsys, argv)
             assert run(capsys, *argv) == expected, argv
             assert expected[0] == 0 or expected[2].startswith("usage: numsem [-h]\n"), argv
+
+
+# Valid and invalid values per type function (None: --output), small enough to run fast.
+PARSE_VALUES = {
+    cli._generators: (["3,5", "2,5,7", "4,6,7,9", "1", "4,6"], ["0,3", "x", ""]),
+    cli._element_list: (["6", "1,2", "4,13", ""], ["x"]),
+    cli._positive_int: (["1", "3", "6", "05"], ["0", "x"]),
+    cli._nonnegative_int: (["0", "2"], ["x"]),
+    None: ([os.devnull], [""]),
+}
+
+
+@st.composite
+def verb_argv(draw) -> list[str]:
+    """A verb and its arguments as a user might spell them, now and then in a spelling
+    only the full parser reads: an abbreviation, a repeated option, ``--``, ``-h``, a
+    value that starts with "-" or positionals split by an option."""
+    verb = draw(st.sampled_from(list(cli._VERBS)))
+    arguments = cli._arguments(*cli._VERBS[verb][2:])
+
+    def value(options) -> str:
+        valid, invalid = ((options["choices"], ["xml"]) if "choices" in options
+                          else PARSE_VALUES[options.get("type")])
+        return draw(st.sampled_from(valid if draw(st.integers(0, 4)) else invalid))
+
+    twist = draw(st.sampled_from([None] * 8 + ["abbreviation", "repeat", "dash", "split",
+                                               "--", "-h"]))
+    groups, run = [], []
+    for name, options in arguments:
+        if name[0] != "-":
+            many = st.integers(2 if twist == "split" else 0, 3)
+            run += [value(options) for _ in range(draw(many if options.get("nargs")
+                                                       else st.sampled_from([1] * 9 + [0])))]
+        elif draw(st.integers(0, 9)) >= (1 if options.get("required") else 4):
+            text = value(options)
+            groups.append([f"{name}={text}"] if draw(st.booleans()) else [name, text])
+    groups = draw(st.permutations(groups))
+    if twist in ("abbreviation", "repeat", "dash") and groups:
+        index = draw(st.integers(0, len(groups) - 1))
+        name, equals, text = groups[index][0].partition("=")
+        if twist == "abbreviation":
+            name = name[:draw(st.integers(3, len(name) - 1))]
+        text = (draw(st.sampled_from(["-1", "-0", "-x"])) if twist == "dash"
+                else value(dict(arguments)[name]) if twist == "repeat"
+                else text if equals else groups[index][1])
+        group = [f"{name}={text}"] if equals else [name, text]
+        groups[index:index + (twist != "repeat")] = [group]
+    at = draw(st.integers(0, len(groups)))
+    if twist == "split" and groups and len(run) > 1:
+        cut = draw(st.integers(1, len(run) - 1))
+        groups.insert(at, run[:cut] + groups.pop(0) + run[cut:])
+    else:
+        groups.insert(at, run)
+    tokens = [token for group in groups for token in group]
+    if twist in ("--", "-h"):
+        tokens.insert(draw(st.integers(0, len(tokens))), twist)
+    return [verb, *tokens]
+
+
+def printed(argv: list[str]) -> tuple:
+    """Exit code, stdout and stderr of ``main(argv)`` in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=400, deadline=500)
+@given(verb_argv())
+@example(["intersect", "2,5", "--format", "json", "3,5,7"])
+@example(["quotient", "6,9", "--format=json", "2"])
+@example(["tree", "--frob", "6"])
+@example(["tree", "--frobenius-bound", "5", "--frobenius-bound=6"])
+@example(["info", "--", "3,5"])
+@example(["hull", "5,7,9", "--elements="])
+@example(["tree", "--frobenius-bound", "6", "--depth", "-0"])
+def test_the_table_parse_says_what_the_full_parser_says(argv):
+    """``main`` prints what it prints with every argv handed to the full parser, and a
+    namespace the table parse makes is the full parser's, but for ``verb``."""
+    with tempfile.TemporaryDirectory() as scratch, pytest.MonkeyPatch.context() as patch:
+        patch.chdir(scratch)  # where an --output such as "-x" writes
+        patch.setenv("COLUMNS", "80")
+        with pytest.MonkeyPatch.context() as full:
+            full.setattr(cli, "_parse", lambda argv: None)
+            full_parser_path = printed(argv)
+        assert printed(argv) == full_parser_path
+    table = cli._parse(argv)
+    if table is not None:
+        full = vars(cli.build_parser().parse_args(argv))
+        assert vars(table) == {key: value for key, value in full.items() if key != "verb"}
 
 
 class TestWorkLimits:
@@ -519,6 +620,28 @@ class TestStartup:
                         if line.startswith("import time:")}
             assert "numsem.cli" in imported and json.loads(child.stdout), argv
             assert not {name for name in imported if name.split(".")[0] in ("json", "_json")}
+
+    def test_a_run_imports_argparse_only_for_help_and_errors(self, monkeypatch):
+        """``python -m numsem`` reads a verb's arguments without ``argparse`` or the ``gettext``
+        and ``locale`` it imports; help and a usage error still print the full parser's."""
+        env = {**os.environ, "PYTHONPATH": str(Path(numsem.__file__).parents[1])}
+        for argv in (("variety", "3,5"), ("tree", "--frobenius-bound", "6", "--format", "json"),
+                     ("oracle-check", "--frobenius-bound", "4")):
+            child = subprocess.run([sys.executable, "-X", "importtime", "-m", "numsem", *argv],
+                                   capture_output=True, text=True, timeout=60, env=env, check=True)
+            imported = {line.rsplit("|", 1)[1].strip() for line in child.stderr.splitlines()
+                        if line.startswith("import time:")}
+            assert "numsem.cli" in imported and child.stdout, argv
+            assert not imported & {"argparse", "gettext", "locale"}, argv
+        monkeypatch.setenv("COLUMNS", "80")
+        help_text = fixture_helps()["tree"]
+        error = (help_text.split("\n\n")[0] + "\nnumsem tree: error: argument --frobenius-bound: "
+                 "expected a positive integer, got 0\n")
+        for argv, expected in ((("tree", "-h"), (0, help_text, "")),
+                               (("tree", "--frobenius-bound", "0"), (2, "", error))):
+            child = numsem_process(*argv, stdout=subprocess.PIPE)
+            out, err = child.communicate(timeout=60)
+            assert (child.returncode, out, err) == expected, argv
 
     def test_package_import_is_lazy_and_the_cli_loads_every_layer(self):
         """``import numsem`` loads no submodule and a name loads only its own; the CLI
@@ -675,7 +798,7 @@ class TestStartup:
 
 class TestOutputDigest:
     def test_every_case_prints_the_bytes_of_the_fixture(self):
-        """``tools/output_digest.py``, run in a child process, hashes 486 invocations; each
+        """``tools/output_digest.py``, run in a child process, hashes 494 invocations; each
         case line must equal the committed one.  A change of output on purpose changes
         ``tests/fixtures/output_digest.txt`` in the same diff."""
         root = Path(__file__).resolve().parents[1]
@@ -683,5 +806,5 @@ class TestOutputDigest:
                                  capture_output=True, text=True, timeout=300, check=True).stdout
         *cases, total = listing.splitlines()
         want = (root / "tests" / "fixtures" / "output_digest.txt").read_text().splitlines()
-        assert len(want) == 486 and total.startswith("total ")
+        assert len(want) == 494 and total.startswith("total ")
         assert cases == want, [case for case, line in zip(cases, want) if case != line]

@@ -28,6 +28,15 @@ semigroups = st.one_of(st.just(NATURALS), st.integers(0, 2**24 - 1).map(lambda b
                        .map(_semigroup_of_members))
 ints = st.integers(-(10**30), 10**30)
 int_rows = st.lists(st.one_of(st.lists(ints, max_size=5), st.tuples(ints, ints)), max_size=8)
+
+
+def _rows_of(n: int):
+    """One row, or many, each a list or a tuple of ``n`` ints."""
+    row = st.one_of(st.lists(ints, min_size=n, max_size=n), st.tuples(*[ints] * n))
+    return st.one_of(st.lists(row, min_size=1, max_size=1), st.lists(row, min_size=2, max_size=600))
+
+
+rows_of_one_length = st.integers(0, 3).flatmap(_rows_of)
 records = st.one_of(
     st.builds(DoubleLabel, st.integers(1, 99), st.frozensets(st.integers(1, 99), max_size=6)),
     st.lists(semigroups, max_size=5).map(VarietySet.of),
@@ -59,6 +68,18 @@ def test_a_list_of_semigroups_is_one_table_and_a_piece_per_member(members):
 @given(st.lists(st.lists(st.one_of(st.booleans(), st.integers(-5, 5)), max_size=4), max_size=6))
 def test_rows_with_a_bool_are_not_int_rows(rows):
     assert written(rows) == dumped(rows)
+
+
+@settings(max_examples=50)
+@given(rows_of_one_length, st.integers(0, 2))
+def test_rows_of_one_length_are_a_piece_per_256_rows(rows, depth):
+    """Rows of n > 0 ints each, lists or tuples, are one %-format per block of 256 rows."""
+    value = rows
+    for _ in range(depth):
+        value = {"rows": value}
+    assert written(value) == dumped(value)
+    if rows[0]:
+        assert len(list(_json_pieces(rows))) == -(-len(rows) // 256) + 1  # and the closing bracket
 
 
 def test_the_root_and_a_semigroup_with_many_gaps():

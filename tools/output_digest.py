@@ -14,8 +14,11 @@ The cases: ``tree`` in all three formats at bounds 1-24 and at 1-17
 with ``--depth 0..3``; ``doubles`` on six semigroups; every text/json
 verb in both formats, among them domain errors, usage errors, ``-h``
 and no arguments; ``oracle-check`` at bounds 1-20;
-``enumerate-all --frobenius-bound 12 --format json``; and some of each
-with ``--output``.  argparse wraps help at the width in ``COLUMNS``, so
+``enumerate-all --frobenius-bound 12 --format json``; some of each
+with ``--output``; and spellings argparse accepts that only the full
+parser reads: an abbreviation, a repeated option, ``--``, an empty
+value, a value that starts with ``-`` and positionals split by an
+option.  argparse wraps help at the width in ``COLUMNS``, so
 it is set to 80, and the help of other Python versions may differ.
 
 Standard library only, apart from the numsem it checks.
@@ -85,6 +88,12 @@ def cases() -> list[list[str]]:
         found.append(["tree", "--frobenius-bound", "12", "--format", fmt, "--output", OUT])
     found += [["oracle-check", "--frobenius-bound", str(b)] for b in range(1, 21)]
     found.append(["oracle-check", "--output", OUT])
+    # spellings that argparse accepts and only the full parser reads (see numsem.cli._parse)
+    found += [["tree", "--frob", "6"], ["tree", "--frobenius-bound", "5", "--frobenius-bound", "6"],
+              ["quotient", "6,9", "--format", "json", "2"], ["info", "--", "3,5"],
+              ["hull", "5,7,9", "--elements="], ["doubles", "2,3", "--frob=9", "--form", "json"],
+              ["is-extension", "2,5", "--format=text", "2,3"],
+              ["tree", "--frobenius-bound", "6", "--depth", "-0", "--format", "dot"]]
     return found
 
 
