@@ -3,10 +3,9 @@ on first use, as they once imported ``json``, so that a text run never compiles 
 
 import operator
 from itertools import chain, compress
-from operator import attrgetter
 from typing import Callable, Iterator
 
-from .core import _DIGIT_VALUES, _JSON_FIELDS, NumericalSemigroup
+from .core import _DIGIT_VALUES, _JSON_FIELDS, NumericalSemigroup, _number_table
 
 
 def _semigroup_writer(level: int, num: list[str]) -> Callable[..., str]:
@@ -58,11 +57,7 @@ def _json_pieces(value, level: int = 0) -> Iterator[str]:
     else:
         head, comma = "[" + inner, "," + inner
         if kinds == {NumericalSemigroup}:
-            masks, msgs = map(attrgetter("_mask"), value), map(attrgetter("_msg"), value)
-            # a generator or gap is at most F + m, less than the largest mask's bit length plus
-            # the largest multiplicity, max(msgs)[0]: a pass in C each, no Python step per member
-            num = list(map(str, range(max(masks).bit_length() + max(msgs)[0] + 1)))
-            rows = map(_semigroup_writer(level + 1, num), value)
+            rows = map(_semigroup_writer(level + 1, _number_table(value)), value)
         elif (kinds <= {list, tuple}
               and set(map(type, ints := tuple(chain.from_iterable(value)))) <= {int}):
             forms = {n: f"[{inner}  {(',' + inner + '  ').join(['%d'] * n)}{inner}]" if n else "[]"

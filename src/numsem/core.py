@@ -24,7 +24,7 @@ import math
 import operator
 from functools import total_ordering
 from itertools import compress, count
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import GcdNotOne, NonPositiveDivisor, NotASemigroup, TooLarge
 
@@ -335,6 +335,14 @@ class NumericalSemigroup:
     def to_json_dict(self) -> dict:
         return dict(zip(_JSON_FIELDS, (list(self.min_generators), list(self.gaps), self.frobenius,
                                        self.genus, self.multiplicity, self.depth())))
+
+
+def _number_table(semigroups: Sequence[NumericalSemigroup]) -> list[str]:
+    """``str(i)`` for each i up to the largest F + m of ``semigroups``, so for each of their
+    gaps and generators.  F + m is below the largest mask's bit length plus the largest
+    multiplicity, the first of the largest generator tuple: a pass in C each, no Python step."""
+    top = max(map(operator.attrgetter("_mask"), semigroups)).bit_length()
+    return list(map(str, range(top + max(map(operator.attrgetter("_msg"), semigroups))[0] + 1)))
 
 
 #: The full set of nonnegative integers.

@@ -14,7 +14,7 @@ from itertools import chain
 from operator import attrgetter
 from typing import Iterator
 
-from .core import NATURALS, NumericalSemigroup, _Record
+from .core import NATURALS, NumericalSemigroup, _number_table, _Record
 from .doubles import _bounded_doubles
 from .errors import PredicateNotClosed, UnknownFormat
 
@@ -142,7 +142,7 @@ def _tree_pieces(tree: VarietyTree, format: str) -> Iterator[str]:
     for json).
 
     The format is checked first.  json hands the writer the nodes and the edges as
-    position pairs; ``num[i]`` is ``str(i)`` for each generator (at most F + m, the root's 1).
+    position pairs; text and dot look each generator up in one number table.
     """
     if format == "json":
         from ._json_writer import _json_pieces
@@ -150,8 +150,7 @@ def _tree_pieces(tree: VarietyTree, format: str) -> Iterator[str]:
         return chain(_json_pieces({"nodes": tree.nodes, "edges": edges}), ("\n",))
     if format not in ("text", "dot"):
         raise UnknownFormat(f"unsupported tree format {format!r}")
-    num = list(map(str, range(max(s.frobenius + s.min_generators[0] for s in tree.nodes) + 2)))
-    return (_tree_text if format == "text" else _tree_dot)(tree, num)
+    return (_tree_text if format == "text" else _tree_dot)(tree, _number_table(tree.nodes))
 
 
 def export_tree(tree: VarietyTree, format: str) -> str:
