@@ -287,7 +287,8 @@ def _arguments(formats: tuple[str, ...], arguments) -> tuple:
 
 
 def build_parser() -> "argparse.ArgumentParser":
-    """The parser of every verb, which prints the help, the usage and the errors."""
+    """The parser of every verb: it prints the help, the usage and the errors, and reads
+    what :func:`_parse` declines."""
     import argparse
 
     parser = argparse.ArgumentParser(
